@@ -18,6 +18,7 @@ from .evaluation import (
     RankingReport,
     RetrievalDataset,
     evaluate,
+    evaluate_features,
     generate_synthetic,
     load_dataset,
     rank_gallery,
@@ -62,6 +63,7 @@ __all__ = [
     "generate_synthetic",
     "rank_gallery",
     "evaluate",
+    "evaluate_features",
     "save_dataset",
     "load_dataset",
     "RriSchedule",

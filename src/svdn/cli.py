@@ -28,12 +28,11 @@ from .config import RunConfig, load_config, override_config
 from .decorrelate import DecorrMethod
 from .errors import SvdnError, ValidationError
 from .evaluation import (
-    evaluate,
+    evaluate_features,
     format_report,
     generate_synthetic,
     l2_normalize,
     load_dataset,
-    rank_gallery,
     save_dataset,
     write_report,
 )
@@ -179,7 +178,7 @@ def cmd_eval(args) -> int:
     gf = model.extract_features(data.gallery_features, cfg.feature)
     if args.l2_normalize:
         qf, gf = l2_normalize(qf), l2_normalize(gf)
-    report = evaluate(data, rank_gallery(qf, gf))
+    report = evaluate_features(data, qf, gf)
     write_report(report, out / "report.csv")
     print(format_report(report), end="")
     return _verify_artifacts(out, artifacts)

@@ -73,6 +73,7 @@ def distance_preservation_gap(w, w_new, h) -> float:
         raise ValidationError(f"w and w_new must have the same shape, got {w.shape} vs {w_new.shape}")
     if h.shape[1] != w.shape[0]:
         raise ValidationError(f"h has {h.shape[1]} columns but w has {w.shape[0]} rows")
-    d_old = np.sqrt(pairwise_sq_dist(h @ w, h @ w))
-    d_new = np.sqrt(pairwise_sq_dist(h @ w_new, h @ w_new))
+    f_old, f_new = h @ w, h @ w_new
+    d_old = np.sqrt(pairwise_sq_dist(f_old, f_old))
+    d_new = np.sqrt(pairwise_sq_dist(f_new, f_new))
     return float(np.abs(d_old - d_new).max())

@@ -31,6 +31,10 @@ SPLIT_QUERY = "query"
 SPLIT_GALLERY = "gallery"
 SPLITS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
+# Queries per distance block in evaluate_features; peak memory grows with
+# QUERY_BLOCK x gallery rows instead of queries x gallery rows.
+QUERY_BLOCK = 256
+
 
 @dataclass
 class RetrievalDataset:
@@ -191,53 +195,69 @@ def generate_synthetic(
     return dataset.validate()
 
 
-def rank_gallery(query_feats, gallery_feats) -> np.ndarray:
-    """Per-query gallery indices in ascending Euclidean distance, ties
-    broken by gallery index so the ordering is deterministic."""
+def _check_features(query_feats, gallery_feats) -> tuple[np.ndarray, np.ndarray]:
     q = as_matrix(query_feats, "query_feats")
     g = as_matrix(gallery_feats, "gallery_feats")
     if q.shape[1] != g.shape[1]:
         raise ValidationError(f"feature dimensions differ: query {q.shape[1]} vs gallery {g.shape[1]}")
+    return q, g
+
+
+def rank_gallery(query_feats, gallery_feats) -> np.ndarray:
+    """Per-query gallery indices in ascending Euclidean distance, ties
+    broken by gallery index so the ordering is deterministic.
+
+    For callers that need the full ranked lists; scoring does not, and
+    ``evaluate_features`` gives the same report without ranking."""
+    q, g = _check_features(query_feats, gallery_feats)
     return np.argsort(pairwise_sq_dist(q, g), axis=1, kind="stable")
 
 
-def evaluate(dataset: RetrievalDataset, ranked) -> RankingReport:
-    """Score ranked gallery lists against the dataset's labels.
+def _positive_ranks(key: np.ndarray, positives: np.ndarray, junk: np.ndarray) -> np.ndarray:
+    """Ascending 0-based ranks of the positive gallery rows in one query's
+    junk-filtered list, where rows are ordered by ``key`` and equal keys
+    by gallery index.  A row's rank is the number of non-junk rows before
+    it in that order, so no gallery ordering is ever materialized."""
+    ranks = np.empty(positives.size, dtype=np.int64)
+    for t, p in enumerate(positives.tolist()):
+        v = key[p]
+        ranks[t] = np.count_nonzero(key[:p] <= v) + np.count_nonzero(key[p + 1 :] < v)
+    if junk.size:
+        jk, kp = key[junk], key[positives][:, None]
+        ranks -= ((jk < kp) | ((jk == kp) & (junk < positives[:, None]))).sum(axis=1)
+    ranks.sort()
+    return ranks
 
-    Junk rule: gallery rows with the query's identity AND the query's
-    camera are removed from that query's list before scoring.  Queries
-    left without a single positive are excluded (warning + count); they
-    contribute to neither the curve nor the mean.
-    """
-    ranked = np.asarray(ranked)
+
+def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
+    """The report of ``evaluate`` from consecutive blocks of per-query
+    ordering keys (one row per query, one column per gallery row)."""
     q_ids, q_cams = dataset.query_ids, dataset.query_cameras
     g_ids, g_cams = dataset.gallery_ids, dataset.gallery_cameras
     n_query, n_gallery = q_ids.shape[0], g_ids.shape[0]
-    if ranked.shape != (n_query, n_gallery):
-        raise ValidationError(f"ranked lists have shape {ranked.shape}, expected {(n_query, n_gallery)}")
-    expected = np.arange(n_gallery)
-    for qi in range(n_query):
-        if not np.array_equal(np.sort(ranked[qi]), expected):
-            raise ValidationError(f"ranked list for query {qi} is not a permutation of the gallery indices")
+    # gallery rows grouped by identity, ascending index within a group
+    by_id = np.argsort(g_ids, kind="stable")
+    lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
+    hi = np.searchsorted(g_ids[by_id], q_ids, side="right")
 
     first_hits: list[int] = []
     aps: list[float] = []
-    excluded = 0
-    for qi in range(n_query):
-        order = ranked[qi]
-        keep = ~((g_ids[order] == q_ids[qi]) & (g_cams[order] == q_cams[qi]))
-        hits = g_ids[order][keep] == q_ids[qi]
-        if not hits.any():
-            excluded += 1
-            continue
-        first_hits.append(int(np.argmax(hits)))
-        cum = np.cumsum(hits)
-        positions = np.flatnonzero(hits)
-        aps.append(float((cum[positions] / (positions + 1.0)).mean()))
+    qi = 0
+    for keys in key_blocks:
+        for key in keys:
+            same = by_id[lo[qi] : hi[qi]]
+            is_junk = g_cams[same] == q_cams[qi]
+            qi += 1
+            if is_junk.all():
+                continue
+            ranks = _positive_ranks(key, same[~is_junk], same[is_junk])
+            first_hits.append(int(ranks[0]))
+            aps.append(float((np.arange(1, ranks.size + 1) / (ranks + 1.0)).mean()))
+    excluded = n_query - len(aps)
     if excluded:
         warnings.warn(
             f"evaluate: {excluded} of {n_query} queries had no valid positive after junk filtering",
-            stacklevel=2,
+            stacklevel=3,
         )
     if not aps:
         raise DegeneracyError("evaluate: no query has a valid positive; nothing to score")
@@ -246,6 +266,54 @@ def evaluate(dataset: RetrievalDataset, ranked) -> RankingReport:
     cmc = np.cumsum(counts) / len(first_hits)
     per_query_ap = np.asarray(aps)
     return RankingReport(cmc=cmc, map=float(per_query_ap.mean()), per_query_ap=per_query_ap, excluded_queries=excluded)
+
+
+def evaluate(dataset: RetrievalDataset, ranked) -> RankingReport:
+    """Score ranked gallery lists against the dataset's labels.
+
+    ``ranked`` holds one permutation of the gallery indices per query,
+    best match first.  Junk rule: gallery rows with the query's identity
+    AND the query's camera are removed from that query's list before
+    scoring.  Queries left without a single positive are excluded
+    (warning + count); they contribute to neither the curve nor the mean.
+    """
+    ranked = np.asarray(ranked)
+    n_query, n_gallery = dataset.query_ids.shape[0], dataset.gallery_ids.shape[0]
+    if ranked.shape != (n_query, n_gallery):
+        raise ValidationError(f"ranked lists have shape {ranked.shape}, expected {(n_query, n_gallery)}")
+    if ranked.dtype.kind not in "iu":
+        raise ValidationError(f"ranked lists must hold integer gallery indices, got dtype {ranked.dtype}")
+    # range first: a scatter would silently wrap a negative index
+    bad = ((ranked < 0) | (ranked >= n_gallery)).any(axis=1)
+    position = np.full((n_query, n_gallery), -1, dtype=np.int64)
+    if not bad.any():
+        np.put_along_axis(position, ranked, np.arange(n_gallery), axis=1)
+        bad = (position < 0).any(axis=1)
+    if bad.any():
+        qi = int(np.argmax(bad))
+        raise ValidationError(f"ranked list for query {qi} is not a permutation of the gallery indices")
+    # each row's inverse permutation orders the gallery without ties
+    return _score(dataset, [position])
+
+
+def evaluate_features(dataset: RetrievalDataset, query_feats, gallery_feats) -> RankingReport:
+    """Score retrieval by Euclidean distance between query and gallery
+    features, exactly as ``evaluate(dataset, rank_gallery(query_feats,
+    gallery_feats))`` does, without ranking the gallery.
+
+    Each positive's rank is counted from the distances directly: the
+    non-junk rows strictly closer plus those at equal distance with a
+    lower gallery index.  Distances are computed ``QUERY_BLOCK`` queries
+    at a time, so memory grows with one block times the gallery size.
+    """
+    q, g = _check_features(query_feats, gallery_feats)
+    expected = (dataset.query_ids.shape[0], dataset.gallery_ids.shape[0])
+    if (q.shape[0], g.shape[0]) != expected:
+        raise ValidationError(
+            f"features for {q.shape[0]} queries x {g.shape[0]} gallery rows, dataset has {expected[0]} x {expected[1]}"
+        )
+    blocks = (pairwise_sq_dist(q[start : start + QUERY_BLOCK], g) for start in range(0, q.shape[0], QUERY_BLOCK))
+    return _score(dataset, blocks)
 
 
 def l2_normalize(feats) -> np.ndarray:

@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import DegeneracyError, NumericError, ValidationError
 
+# pairwise_sq_dist recomputes, from the row difference, every entry smaller
+# than this share of |x|^2 + |y|^2, in chunks of this many row pairs.
+_CANCELLATION = 2.0**-20
+_RECOMPUTE_CHUNK = 4096
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 2-D array or raise ValidationError."""
@@ -84,38 +89,40 @@ def qr(w) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(q), np.ascontiguousarray(r)
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a, "a").T)
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a, "a")))
-
-
 def pairwise_sq_dist(a, b) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and of ``b``.
 
-    Uses the expansion ``(|x|^2 + |y|^2) - 2 x.y`` with every inner
-    product accumulated in the same order, which makes the result exactly
-    symmetric with a zero diagonal when ``a`` and ``b`` hold the same
-    rows, and exactly 0 for bitwise-identical row pairs.  Tiny negatives
-    from cancellation are clamped to 0.
+    Uses the expansion ``(|x|^2 + |y|^2) - 2 x.y`` with the inner products
+    from one BLAS product (``a @ a.T`` when ``a is b``).  That expansion
+    loses precision where the distance is small next to the squared
+    norms, so every entry below ``_CANCELLATION * (|x|^2 + |y|^2)`` is
+    recomputed as the sum of squares of the row difference.  Hence:
+
+    * bitwise-identical row pairs give exactly 0, and every entry is
+      non-negative;
+    * an entry keeps its expansion value only when it is at least
+      ``_CANCELLATION`` (2**-20) of ``|x|^2 + |y|^2``, which bounds its
+      relative rounding error by about ``(k + 2) * 2**-32`` for rows of
+      length ``k``; a recomputed entry is as accurate as a direct k-term
+      sum of squares;
+    * when ``a is b`` the result is exactly symmetric with a zero
+      diagonal.
     """
+    same = a is b
     a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
+    b = a if same else as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"pairwise_sq_dist: row dimensions differ, {a.shape[1]} vs {b.shape[1]}")
     a2 = np.einsum("ij,ij->i", a, a)
-    b2 = np.einsum("ij,ij->i", b, b)
-    g = np.einsum("ik,jk->ij", a, b)
-    d = a2[:, None] + b2[None, :] - 2.0 * g
-    np.maximum(d, 0.0, out=d)
+    b2 = a2 if same else np.einsum("ij,ij->i", b, b)
+    d = a @ b.T
+    d *= -2.0
+    norms = np.add.outer(a2, b2)
+    d += norms
+    norms *= _CANCELLATION
+    close = np.flatnonzero(d <= norms)
+    for lo in range(0, close.size, _RECOMPUTE_CHUNK):
+        i, j = np.divmod(close[lo : lo + _RECOMPUTE_CHUNK], d.shape[1])
+        diff = a[i] - b[j]
+        d[i, j] = np.einsum("ij,ij->i", diff, diff)
     return d

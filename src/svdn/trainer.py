@@ -30,7 +30,7 @@ from . import decorrelate
 from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError
-from .evaluation import RetrievalDataset, evaluate, rank_gallery
+from .evaluation import RetrievalDataset, evaluate_features
 from .network import EigenModel, FreezeMask, build_model, save_checkpoint, sgd_step
 
 PHASE_STEP0 = "step0"
@@ -134,7 +134,7 @@ def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = "in
     """(rank-1, mAP) of the model's retrieval features on the dataset."""
     qf = model.extract_features(data.query_features, feature)
     gf = model.extract_features(data.gallery_features, feature)
-    report = evaluate(data, rank_gallery(qf, gf))
+    report = evaluate_features(data, qf, gf)
     return float(report.cmc[0]), report.map
 
 

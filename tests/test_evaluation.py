@@ -1,12 +1,20 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svdn import evaluation
 from svdn.decorrelate import DecorrMethod, apply
 from svdn.errors import DegeneracyError, ValidationError
 from svdn.evaluation import (
+    QUERY_BLOCK,
     RankingReport,
     RetrievalDataset,
     evaluate,
+    evaluate_features,
     format_report,
     generate_synthetic,
     l2_normalize,
@@ -113,6 +121,18 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(ds, np.array([[0]]))
 
+    @pytest.mark.parametrize("ranked", [[[-1, 0]], [[0, 2]], [[1, 1]]])
+    def test_ranked_lists_out_of_range_or_repeated_rejected(self, ranked):
+        # -1 must not wrap around to the last gallery row
+        ds = manual_dataset([1], [0], [1, 2], [1, 1])
+        with pytest.raises(ValidationError, match="query 0"):
+            evaluate(ds, np.array(ranked))
+
+    def test_ranked_lists_must_be_integer(self):
+        ds = manual_dataset([1], [0], [1, 2], [1, 1])
+        with pytest.raises(ValidationError):
+            evaluate(ds, np.array([[0.0, 1.0]]))
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
         n_query, n_gallery = 12, 50
@@ -158,6 +178,78 @@ class TestEvaluate:
         after = evaluate(ds, rank_gallery(ds.query_features @ w_new, ds.gallery_features @ w_new))
         assert before.map == after.map
         assert np.array_equal(before.cmc, after.cmc)
+
+
+def tie_heavy_case(seed, n_query, n_gallery, n_ids=5, n_cams=3, dim=2):
+    """Labels plus small-integer features, so exact distance ties are
+    common.  Every query gets a cross-camera positive except the last,
+    whose identity appears in the gallery only under its own camera."""
+    rng = np.random.default_rng(seed)
+    q_ids = rng.integers(0, n_ids, size=n_query)
+    q_cams = rng.integers(0, n_cams, size=n_query)
+    q_ids[-1] = n_ids
+    g_ids = np.concatenate([q_ids[:-1], [n_ids, n_ids], rng.integers(0, n_ids, size=n_gallery - n_query - 1)])
+    g_cams = np.concatenate([(q_cams[:-1] + 1) % n_cams, q_cams[-1:], q_cams[-1:], rng.integers(0, n_cams, size=n_gallery - n_query - 1)])
+    q = rng.integers(0, 3, size=(n_query, dim)).astype(float)
+    g = rng.integers(0, 3, size=(n_gallery, dim)).astype(float)
+    return manual_dataset(q_ids, q_cams, g_ids, g_cams), q, g
+
+
+def assert_same_report(a, b):
+    assert np.array_equal(a.cmc, b.cmc)
+    assert np.array_equal(a.per_query_ap, b.per_query_ap)
+    assert a.excluded_queries == b.excluded_queries
+    assert a.map == b.map
+
+
+class TestEvaluateFeatures:
+    def test_tie_and_junk_heavy_case_matches_oracle_across_blocks(self):
+        n_query = QUERY_BLOCK + 44
+        ds, q, g = tie_heavy_case(seed=21, n_query=n_query, n_gallery=n_query + 30)
+        with pytest.warns(UserWarning, match="1 of"):
+            got = evaluate_features(ds, q, g)
+        assert got.excluded_queries == 1
+        assert len(got.per_query_ap) == n_query - 1
+
+        ranked = np.argsort(loop_sq_dists(q, g), axis=1, kind="stable")
+        cmc, mean_ap, aps, excluded = oracle_evaluate(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras, ranked)
+        assert excluded == 1
+        assert np.abs(got.cmc - cmc).max() <= 1e-12
+        assert np.abs(got.per_query_ap - np.asarray(aps)).max() <= 1e-12
+        assert abs(got.map - mean_ap) <= 1e-12
+
+        with pytest.warns(UserWarning):
+            assert_same_report(got, evaluate(ds, rank_gallery(q, g)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_query=st.integers(2, 30),
+        extra_gallery=st.integers(1, 30),
+        n_ids=st.integers(1, 6),
+        n_cams=st.integers(2, 4),
+        dim=st.integers(1, 3),
+        block=st.integers(1, 8),
+    )
+    def test_property_matches_ranked_path_and_oracle(self, seed, n_query, extra_gallery, n_ids, n_cams, dim, block):
+        ds, q, g = tie_heavy_case(seed, n_query, n_query + extra_gallery, n_ids, n_cams, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with mock.patch.object(evaluation, "QUERY_BLOCK", block):
+                got = evaluate_features(ds, q, g)
+            ranked = rank_gallery(q, g)
+            assert_same_report(got, evaluate(ds, ranked))
+        cmc, mean_ap, _, excluded = oracle_evaluate(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras, ranked)
+        assert excluded == got.excluded_queries
+        assert np.abs(got.cmc - cmc).max() <= 1e-12
+        assert abs(got.map - mean_ap) <= 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        ds, q, g = tie_heavy_case(seed=0, n_query=4, n_gallery=9)
+        with pytest.raises(ValidationError):
+            evaluate_features(ds, q[:3], g)
+        with pytest.raises(ValidationError):
+            evaluate_features(ds, q, g[:, :1])
 
 
 class TestGenerator:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdn.errors import DegeneracyError, ValidationError
-from svdn.linalg import SvdFactors, frobenius_norm, matmul, pairwise_sq_dist, qr, svd, transpose
+from svdn.linalg import SvdFactors, pairwise_sq_dist, qr, svd
 
 from oracles import jacobi_eigenvalues, loop_sq_dists
 
@@ -114,22 +116,6 @@ class TestQr:
             qr(np.zeros((3, 2)))
 
 
-class TestHelpers:
-    def test_matmul_shape_error(self):
-        with pytest.raises(ValidationError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_matmul_and_transpose(self):
-        a = random_matrix(3, 4, seed=0)
-        b = random_matrix(4, 2, seed=1)
-        assert np.array_equal(matmul(a, b), a @ b)
-        assert np.array_equal(transpose(a), a.T)
-
-    def test_frobenius(self):
-        a = np.array([[3.0, 4.0]])
-        assert frobenius_norm(a) == 5.0
-
-
 class TestPairwiseSqDist:
     def test_known_value(self):
         d = pairwise_sq_dist(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
@@ -161,3 +147,49 @@ class TestPairwiseSqDist:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             pairwise_sq_dist(np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_common_offset_identical_pair_exact_zero(self):
+        rng = np.random.default_rng(3)
+        a = 1e6 + rng.normal(size=(20, 8))
+        b = 1e6 + rng.normal(size=(15, 8))
+        b[4] = a[11]
+        d = pairwise_sq_dist(a, b)
+        assert d[11, 4] == 0.0
+        assert np.all(d >= 0.0)
+
+    def test_common_offset_near_identical_pair_matches_loop(self):
+        rng = np.random.default_rng(4)
+        a = 1e6 + rng.normal(size=(20, 8))
+        b = 1e6 + rng.normal(size=(15, 8))
+        b[4] = a[11] + 1e-3 * rng.normal(size=8)
+        d, ref = pairwise_sq_dist(a, b), loop_sq_dists(a, b)
+        assert ref[11, 4] < 1e-4
+        assert np.all(np.abs(d - ref) <= 1e-12 * ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        k=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 37.0, 1e4]),
+        offset=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_against_loop_oracle(self, n, m, k, scale, offset, seed):
+        """Identical row pairs give exactly 0; every entry is within the
+        expansion's rounding bound of the loop oracle."""
+        rng = np.random.default_rng(seed)
+        a = offset + scale * rng.normal(size=(n, k))
+        b = offset + scale * rng.normal(size=(m, k))
+        pairs = [(int(rng.integers(n)), j) for j in range(m) if rng.random() < 0.5]
+        for i, j in pairs:
+            b[j] = a[i]
+        d, ref = pairwise_sq_dist(a, b), loop_sq_dists(a, b)
+        for i, j in pairs:
+            assert d[i, j] == 0.0
+        norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        assert np.all(np.abs(d - ref) <= 4 * (k + 2) * np.finfo(float).eps * norms)
+        assert np.all(d >= 0.0)
+        self_d = pairwise_sq_dist(a, a)
+        assert np.array_equal(self_d, self_d.T)
+        assert np.all(np.diag(self_d) == 0.0)
