@@ -6,22 +6,16 @@ training wastes wide embeddings on redundant directions; the iteration
 scheme keeps the curve flat at the top.
 """
 
-from svdn import RriSchedule, build_model, generate_synthetic, run_baseline, run_rri, train_step0
-from svdn.trainer import training_arrays
+from svdn import RriSchedule, generate_synthetic, run_dim_sweep
 
 data = generate_synthetic()
 schedule = RriSchedule()
-_, _, classes = training_arrays(data)
 
 print(f"{'width':>6} {'with iterations':>16} {'plain (equal epochs)':>21}")
 results = []
-for width in (4, 8, 16, 32, 64, 128):
-    model = build_model(data.dim, (128, 128), width, classes, schedule.seed)
-    model, _ = train_step0(model, data, schedule)
-    _, trace = run_rri(model.copy(), data, schedule)
-    _, control = run_baseline(model.copy(), data, schedule, trace.records[-1].rri_index)
-    results.append((width, trace.records[-1].map, control.map))
-    print(f"{width:>6} {trace.records[-1].map:>16.4f} {control.map:>21.4f}")
+for width, final, control in run_dim_sweep(data, schedule, (4, 8, 16, 32, 64, 128), (128, 128)):
+    results.append((width, final.map, control.map))
+    print(f"{width:>6} {final.map:>16.4f} {control.map:>21.4f}")
 
 peak_with = max(m for _, m, _ in results)
 print(f"\nwith iterations the two widest settings stay within "

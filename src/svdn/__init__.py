@@ -33,6 +33,7 @@ from .trainer import (
     RriTrace,
     run_baseline,
     run_decorr_comparison,
+    run_dim_sweep,
     run_rri,
     train_step0,
 )
@@ -74,4 +75,5 @@ __all__ = [
     "run_rri",
     "run_baseline",
     "run_decorr_comparison",
+    "run_dim_sweep",
 ]

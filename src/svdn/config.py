@@ -1,9 +1,11 @@
 """Flat key-value run configuration shared by the trainer and the CLI.
 
 The file format is one ``key = value`` pair per line; blank lines and
-lines starting with ``#`` are ignored.  Keys are exactly the schedule
-field names plus the model dimensions, the retrieval feature choice, and
-the dataset path; anything else is rejected by name.
+lines starting with ``#`` are ignored.  The keys are the ``RriSchedule``
+field names followed by the other ``RunConfig`` fields; ``PARSERS`` maps
+each key to the parser of its text value, and the config file, the
+overrides, ``RunConfig.to_dict`` and the CLI flags all go through it.
+Unknown keys and keys given twice are rejected by name.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from pathlib import Path
 from .errors import ValidationError
 from .network import FEATURE_KINDS
 from .trainer import RriSchedule
-
-_SCHEDULE_INT_KEYS = ("step0_epochs", "restraint_epochs", "relaxation_epochs", "max_rri", "batch_size", "seed")
-_SCHEDULE_FLOAT_KEYS = ("lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s")
 
 
 @dataclass
@@ -36,32 +35,20 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self.schedule, f.name) for f in fields(RriSchedule)}
-        out["hidden_dims"] = list(self.hidden_dims)
-        out["eigen_dim"] = self.eigen_dim
-        out["feature"] = self.feature
-        out["dataset"] = self.dataset
-        return out
+        return {key: getattr(self.schedule if key in _SCHEDULE_KEYS else self, key) for key in CONFIG_KEYS}
 
 
-CONFIG_KEYS = tuple(_SCHEDULE_INT_KEYS) + tuple(_SCHEDULE_FLOAT_KEYS) + ("hidden_dims", "eigen_dim", "feature", "dataset")
+def _scalar(kind, expected: str):
+    def parse(key: str, value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValidationError(f"config key {key!r}: expected {expected}, got {value!r}") from None
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"config key {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"config key {key!r}: expected a number, got {value!r}") from None
-
-
-def _parse_dims(key: str, value: str) -> tuple[int, ...]:
+def parse_dims(key: str, value: str) -> tuple[int, ...]:
+    """Comma-separated layer widths, such as ``128,64``; errors name ``key``."""
     try:
         dims = tuple(int(part.strip()) for part in value.split(",") if part.strip())
     except ValueError:
@@ -71,11 +58,26 @@ def _parse_dims(key: str, value: str) -> tuple[int, ...]:
     return dims
 
 
+_PARSE_BY_TYPE = {int: _scalar(int, "an integer"), float: _scalar(float, "a number"), str: _scalar(str, "text")}
+_SCHEDULE_KEYS = frozenset(f.name for f in fields(RriSchedule))
+
+# Config key -> parser of its text value.  A schedule key's value type is
+# the type of its RriSchedule field default.
+PARSERS = {
+    **{f.name: _PARSE_BY_TYPE[type(f.default)] for f in fields(RriSchedule)},
+    "hidden_dims": parse_dims,
+    "eigen_dim": _PARSE_BY_TYPE[int],
+    "feature": _PARSE_BY_TYPE[str],
+    "dataset": _PARSE_BY_TYPE[str],
+}
+CONFIG_KEYS = tuple(PARSERS)
+
+
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text into a RunConfig; unknown keys and malformed
-    values raise ValidationError naming the key."""
-    schedule_kwargs: dict = {}
-    other: dict = {}
+    """Parse config text into a RunConfig; unknown or repeated keys and
+    malformed values raise ValidationError naming the key."""
+    values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,22 +85,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if "=" not in line:
             raise ValidationError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _SCHEDULE_INT_KEYS:
-            schedule_kwargs[key] = _parse_int(key, value)
-        elif key in _SCHEDULE_FLOAT_KEYS:
-            schedule_kwargs[key] = _parse_float(key, value)
-        elif key == "hidden_dims":
-            other[key] = _parse_dims(key, value)
-        elif key == "eigen_dim":
-            other[key] = _parse_int(key, value)
-        elif key == "feature":
-            other[key] = value
-        elif key == "dataset":
-            other[key] = value
-        else:
+        if key not in PARSERS:
             raise ValidationError(f"{source}:{lineno}: unknown config key {key!r}")
-    cfg = RunConfig(schedule=RriSchedule(**schedule_kwargs), **other)
-    return cfg.validate()
+        if key in first_line:
+            raise ValidationError(f"{source}:{lineno}: config key {key!r} already given on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = PARSERS[key](key, value)
+    return override_config(RunConfig(), **values)
 
 
 def load_config(path) -> RunConfig:
@@ -112,13 +105,7 @@ def override_config(cfg: RunConfig, **overrides) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in _SCHEDULE_INT_KEYS or key in _SCHEDULE_FLOAT_KEYS:
-            schedule_kwargs[key] = value
-        elif key in ("hidden_dims", "eigen_dim", "feature", "dataset"):
-            top[key] = value
-        else:
+        if key not in PARSERS:
             raise ValidationError(f"unknown config key {key!r}")
-    if schedule_kwargs:
-        top["schedule"] = replace(cfg.schedule, **schedule_kwargs)
-    cfg = replace(cfg, **top) if top else cfg
-    return cfg.validate()
+        (schedule_kwargs if key in _SCHEDULE_KEYS else top)[key] = value
+    return replace(cfg, schedule=replace(cfg.schedule, **schedule_kwargs), **top).validate()

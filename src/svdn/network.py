@@ -222,16 +222,19 @@ def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, s
 
 def sgd_step(model: EigenModel, grads: dict, lr: float) -> EigenModel:
     """In-place update ``p <- p - lr * g`` for every parameter; returns the
-    model.  Rejects negative rates and non-finite gradients."""
+    model.  Rejects negative rates, misshapen and non-finite gradients
+    before touching any parameter, so a rejected step changes nothing."""
     if lr < 0:
         raise ValidationError(f"learning rate must be non-negative, got {lr}")
-    for name, p in model.param_items():
+    params = model.param_items()
+    for name, p in params:
         g = grads[name]
         if g.shape != p.shape:
             raise ValidationError(f"gradient for {name} has shape {g.shape}, expected {p.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name}")
-        p -= lr * g
+    for name, p in params:
+        p -= lr * grads[name]
     return model
 
 

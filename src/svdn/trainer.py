@@ -261,3 +261,30 @@ def run_decorr_comparison(
         rank1, mean_ap = evaluate_model(model, data, feature)
         rows.append(ComparisonRow(method=method, rank1=rank1, map=mean_ap))
     return rows
+
+
+def run_dim_sweep(
+    data: RetrievalDataset,
+    schedule: RriSchedule,
+    dims,
+    hidden_dims=(128, 128),
+    feature: str = "input",
+) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
+    """Train one model per eigenlayer width: step 0, then RRI from one copy
+    and the equal-epoch ``run_baseline`` control (as many iterations as RRI
+    ran) from another.  Returns ``(width, final RRI record, baseline
+    record)`` per width.  Every width is checked before any training."""
+    n_backbone_out = hidden_dims[-1]
+    bad = [dim for dim in dims if not 1 <= dim <= n_backbone_out]
+    if bad:
+        raise ValidationError(f"sweep dims {bad} must lie in 1..{n_backbone_out}, the backbone output width")
+    _, _, c = training_arrays(data)
+    results = []
+    for dim in dims:
+        model = build_model(data.dim, hidden_dims, dim, c, schedule.seed)
+        model, _ = train_step0(model, data, schedule, feature)
+        _, trace = run_rri(model.copy(), data, schedule, feature=feature)
+        with_record = trace.records[-1]
+        _, base_record = run_baseline(model.copy(), data, schedule, with_record.rri_index, feature)
+        results.append((dim, with_record, base_record))
+    return results

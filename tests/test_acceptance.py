@@ -26,6 +26,7 @@ from svdn.trainer import (
     RriSchedule,
     run_baseline,
     run_decorr_comparison,
+    run_dim_sweep,
     run_rri,
     train_step0,
     training_arrays,
@@ -85,19 +86,11 @@ def comparison(default_dataset):
 @pytest.fixture(scope="module")
 def sweep(default_dataset):
     start = time.perf_counter()
-    data = default_dataset
-    schedule = RriSchedule()
-    _, _, classes = training_arrays(data)
     dims = (4, 8, 16, 32, 64, 128)
-    with_rri, without_rri = [], []
-    for dim in dims:
-        model = build_model(data.dim, DEFAULT_HIDDEN, dim, classes, schedule.seed)
-        model, _ = train_step0(model, data, schedule)
-        _, trace = run_rri(model.copy(), data, schedule)
-        _, base_record = run_baseline(model.copy(), data, schedule, trace.records[-1].rri_index)
-        with_rri.append(trace.records[-1].map)
-        without_rri.append(base_record.map)
-    return dims, np.array(with_rri), np.array(without_rri), time.perf_counter() - start
+    results = run_dim_sweep(default_dataset, RriSchedule(), dims, DEFAULT_HIDDEN)
+    with_rri = np.array([final.map for _, final, _ in results])
+    without_rri = np.array([control.map for _, _, control in results])
+    return dims, with_rri, without_rri, time.perf_counter() - start
 
 
 def test_criterion_1_distance_preservation():

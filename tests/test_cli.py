@@ -3,6 +3,7 @@ import json
 import pytest
 
 from svdn.cli import main
+from svdn.config import CONFIG_KEYS, RunConfig
 from svdn.evaluation import load_dataset
 
 CFG = """
@@ -187,6 +188,46 @@ class TestSweepDim:
         ])
         assert rc == 2
         assert "backbone" in capsys.readouterr().err
+
+
+def _sample_text(key, dataset_path):
+    """A valid text value for a config key that differs from its default."""
+    special = {"feature": "output", "dataset": str(dataset_path)}
+    if key in special:
+        return special[key]
+    default = RunConfig().to_dict()[key]
+    if isinstance(default, tuple):
+        return ",".join(str(d + 1) for d in default)
+    return str(default * 2)
+
+
+def _diagnose_config(tmp_path, name, ckpt, *extra):
+    out = tmp_path / name
+    assert main(["diagnose", "--out", str(out), str(ckpt), *extra]) == 0
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+class TestConfigKeyParity:
+    def test_file_line_and_flag_agree(self, tmp_path, trained, dataset_path, key):
+        text = _sample_text(key, dataset_path)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        ckpt = trained / "ckpt_rri0_step0.svdn"
+        from_file = _diagnose_config(tmp_path, "file", ckpt, "--config", str(cfg))
+        from_flag = _diagnose_config(tmp_path, "flag", ckpt, "--" + key.replace("_", "-"), text)
+        assert from_file == from_flag
+        defaults = json.loads(json.dumps(RunConfig().to_dict()))
+        assert {k for k in defaults if defaults[k] != from_flag[k]} == {key}
+
+    def test_malformed_value_exits_2_naming_key(self, tmp_path, trained, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = x\n")
+        ckpt = str(trained / "ckpt_rri0_step0.svdn")
+        for source in (["--config", str(cfg)], ["--" + key.replace("_", "-"), "x"]):
+            assert main(["diagnose", "--out", str(tmp_path / "out"), ckpt, *source]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

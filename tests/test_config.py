@@ -58,6 +58,11 @@ def test_bad_value_names_key():
         parse_config("hidden_dims = 64,x")
 
 
+def test_repeated_key_names_key_and_both_lines():
+    with pytest.raises(ValidationError, match=r"run\.cfg:4: config key 'seed' already given on line 2"):
+        parse_config("# run\nseed = 3\nmax_rri = 2\nseed = 5\n", source="run.cfg")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ValidationError, match="key = value"):
         parse_config("step0_epochs 5")

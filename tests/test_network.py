@@ -166,6 +166,25 @@ class TestSgdStep:
         with pytest.raises(NumericError):
             sgd_step(model, grads, 0.1)
 
+    @pytest.mark.parametrize(
+        "bad_grad, error",
+        [
+            (lambda g: np.full_like(g, np.nan), NumericError),
+            (lambda g: np.zeros(g.shape + (1,)), ValidationError),
+        ],
+        ids=["nan", "wrong_shape"],
+    )
+    def test_bad_last_gradient_leaves_every_parameter_untouched(self, bad_grad, error):
+        model = tiny_model(seed=23)
+        before = {n: p.copy() for n, p in model.param_items()}
+        grads = {n: np.ones_like(p) for n, p in model.param_items()}
+        last = model.param_items()[-1][0]
+        grads[last] = bad_grad(grads[last])
+        with pytest.raises(error, match=last):
+            sgd_step(model, grads, 0.1)
+        for n, p in model.param_items():
+            assert np.array_equal(p, before[n]), n
+
     def test_rejects_negative_lr(self):
         model = tiny_model(seed=21)
         grads = {n: np.zeros_like(p) for n, p in model.param_items()}

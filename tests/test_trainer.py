@@ -15,6 +15,7 @@ from svdn.trainer import (
     RriTrace,
     run_baseline,
     run_decorr_comparison,
+    run_dim_sweep,
     run_rri,
     train_step0,
     training_arrays,
@@ -242,3 +243,23 @@ class TestTraceCsv:
         # floats are written with repr and parse back exactly
         row = lines[1].split(",")
         assert float(row[2]) == rec0.s_of_w
+
+
+class TestDimSweep:
+    def test_one_row_per_width_matching_separate_runs(self, small_data):
+        schedule = small_schedule(max_rri=1)
+        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (6,), (16, 12))
+        model, _ = train_step0(small_model(small_data), small_data, schedule)
+        _, trace = run_rri(model.copy(), small_data, schedule)
+        _, base = run_baseline(model.copy(), small_data, schedule, trace.records[-1].rri_index)
+        assert dim == 6
+        assert final == trace.records[-1]
+        assert control == base
+
+    @pytest.mark.parametrize("dims", [(4, 8, 64), (4, 0)])
+    def test_bad_last_width_rejected_before_any_training(self, small_data, monkeypatch, dims):
+        calls = []
+        monkeypatch.setattr("svdn.trainer.train_step0", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValidationError, match="backbone output width"):
+            run_dim_sweep(small_data, small_schedule(), dims, (16, 12))
+        assert calls == []
