@@ -39,7 +39,9 @@ from .evaluation import (
 )
 from .network import build_model, load_checkpoint, save_checkpoint
 from .trainer import (
-    RriTrace,
+    CHECKPOINT_PHASES,
+    PHASE_STEP0,
+    checkpoint_name,
     evaluate_model,
     run_decorr_comparison,
     run_dim_sweep,
@@ -51,7 +53,7 @@ from .trainer import (
 from .diagnostics import s_of_w
 
 _CKPT_NAME = re.compile(r"ckpt_rri(\d+)_([a-z0-9]+)\.svdn$")
-_PHASE_ORDER = {"step0": 0, "decorrelate": 1, "restraint": 2, "relaxation": 3}
+_PHASE_ORDER = {phase: i for i, phase in enumerate(CHECKPOINT_PHASES)}
 
 
 def _gen_params(args) -> dict:
@@ -117,11 +119,11 @@ def cmd_train(args, out, cfg, data) -> None:
     model = build_model(data.dim, cfg.hidden_dims, cfg.eigen_dim, c, schedule.seed)
     model, step0_record = train_step0(model, data, schedule, cfg.feature, out_dir=out)
     model, trace = run_rri(model, data, schedule, feature=cfg.feature, out_dir=out)
-    full = RriTrace(records=[step0_record, *trace.records], converged=trace.converged)
-    write_trace(full, out / "trace.csv")
+    trace.records.insert(0, step0_record)
+    write_trace(trace, out / "trace.csv")
     save_checkpoint(model, out / "ckpt_final.svdn")
 
-    last = full.records[-1]
+    last = trace.records[-1]
     print(f"completed {last.rri_index} iteration(s), converged={trace.converged}")
     print(f"final s_of_w={last.s_of_w:.6f} rank1={last.rank1:.4f} mAP={last.map:.4f}")
 
@@ -228,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command(
         "train",
         cmd_train,
-        {"trace": "trace.csv", "step0_checkpoint": "ckpt_rri0_step0.svdn", "final_checkpoint": "ckpt_final.svdn"},
+        {"trace": "trace.csv", "step0_checkpoint": checkpoint_name(0, PHASE_STEP0), "final_checkpoint": "ckpt_final.svdn"},
         "required",
         "step 0 plus restraint/relaxation iterations",
     )
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SvdnError as exc:

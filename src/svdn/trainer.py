@@ -13,15 +13,15 @@ The full procedure is: an initial fine-tuning pass with everything free
 
 until the post-relaxation correlation score stops moving (two
 consecutive changes below ``epsilon_s``) or the iteration budget runs
-out.  Every phase boundary logs the correlation score, the training
-loss, and retrieval quality, and (given an output directory) writes a
-checkpoint named ``ckpt_rri{t}_{phase}.svdn``.
+out.  Each phase is a tuple of data run by one loop.  Every phase
+boundary logs the correlation score, the training loss, and retrieval
+quality, and (given an output directory) writes a checkpoint.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,7 @@ PHASE_DECORRELATE = "decorrelate"
 PHASE_RESTRAINT = "restraint"
 PHASE_RELAXATION = "relaxation"
 PHASE_BASELINE = "baseline"
-
-TRACE_COLUMNS = ("rri_index", "phase", "s_of_w", "train_loss", "rank1", "map")
+CHECKPOINT_PHASES = (PHASE_STEP0, PHASE_DECORRELATE, PHASE_RESTRAINT, PHASE_RELAXATION)  # in run order
 
 
 @dataclass
@@ -60,12 +59,11 @@ class RriSchedule:
     seed: int = 4
 
     def validate(self) -> "RriSchedule":
-        for name in ("step0_epochs", "restraint_epochs", "relaxation_epochs", "max_rri", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"schedule field {name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"schedule field {name} must be > 0, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not value > 0:
+                bound = ">= 1" if isinstance(f.default, int) else "> 0"
+                raise ValidationError(f"schedule field {f.name} must be {bound}, got {value}")
         return self
 
 
@@ -77,6 +75,9 @@ class PhaseRecord:
     train_loss: float
     rank1: float
     map: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(PhaseRecord))
 
 
 @dataclass
@@ -99,9 +100,7 @@ def write_trace(trace: RriTrace, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for r in trace.records:
-            writer.writerow(
-                [r.rri_index, r.phase, repr(r.s_of_w), repr(r.train_loss), repr(r.rank1), repr(r.map)]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in (getattr(r, c) for c in TRACE_COLUMNS)])
 
 
 def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int]:
@@ -117,19 +116,6 @@ def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int
     return X, y, int(classes.size)
 
 
-def _train_epochs(model, X, y, rng, epochs, lr, batch_size, frozen) -> None:
-    mask = FreezeMask(eigenlayer_frozen=frozen)
-    n = y.shape[0]
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss, grads = model.loss_and_grads(X[idx], y[idx], mask)
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
-            sgd_step(model, grads, lr)
-
-
 def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = "input") -> tuple[float, float]:
     """(rank-1, mAP) of the model's retrieval features on the dataset."""
     qf = model.extract_features(data.query_features, feature)
@@ -138,21 +124,61 @@ def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = "in
     return float(report.cmc[0]), report.map
 
 
-def _record(model, X, y, data, feature, rri_index, phase) -> PhaseRecord:
-    rank1, mean_ap = evaluate_model(model, data, feature)
-    return PhaseRecord(
-        rri_index=rri_index,
-        phase=phase,
-        s_of_w=s_of_w(model.eigenlayer).value,
-        train_loss=model.loss(X, y),
-        rank1=rank1,
-        map=mean_ap,
-    )
+def checkpoint_name(rri_index: int, phase: str) -> str:
+    """File name of the checkpoint written at the end of a phase."""
+    return f"ckpt_rri{rri_index}_{phase}.svdn"
 
 
-def _checkpoint(model, out_dir, rri_index, phase) -> None:
-    if out_dir is not None:
-        save_checkpoint(model, Path(out_dir) / f"ckpt_rri{rri_index}_{phase}.svdn")
+def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> list[tuple]:
+    """One iteration as phases ``(name, replacement method or None, epochs,
+    learning rate, eigenlayer frozen)``; ``method=None`` gives the control
+    with the same epochs and rates, nothing replaced or frozen."""
+    return [
+        (PHASE_DECORRELATE, method, 0, 0.0, False),
+        (PHASE_RESTRAINT, None, schedule.restraint_epochs, schedule.lr_restraint, method is not None),
+        (PHASE_RELAXATION, None, schedule.relaxation_epochs, schedule.lr_relaxation, False),
+    ]
+
+
+def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, stream: int, feature: str):
+    """Check the schedule and the model against the dataset before any
+    training; return this run's phase loop.  ``stream`` seeds the batch
+    order: 0 for step 0, 1 for the iterations (RRI and its control alike)."""
+    schedule.validate()
+    X, y, c = training_arrays(data)
+    if model.num_classes != c:
+        raise ValidationError(f"model has {model.num_classes} classes but the dataset has {c} training identities")
+    n, k = model.eigenlayer.shape
+    if n < k:
+        raise ValidationError(f"eigenlayer must be tall for decorrelation, got {n}x{k}")
+    rng = np.random.default_rng([schedule.seed, stream])
+
+    def run_phases(phases: list[tuple], rri_index: int, out_dir=None, log: bool = True) -> list[PhaseRecord]:
+        """Run ``phases`` in order: replace, train, then (with ``log``)
+        record each and write its checkpoint into ``out_dir``, if given."""
+        records = []
+        for name, method, epochs, lr, frozen in phases:
+            if method is not None:
+                model.eigenlayer = decorrelate.apply(model.eigenlayer, method)
+            mask = FreezeMask(eigenlayer_frozen=frozen)
+            for epoch in range(epochs):
+                order = rng.permutation(y.shape[0])
+                for start in range(0, y.shape[0], schedule.batch_size):
+                    idx = order[start : start + schedule.batch_size]
+                    loss, grads = model.loss_and_grads(X[idx], y[idx], mask)
+                    if not np.isfinite(loss):
+                        raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
+                    sgd_step(model, grads, lr)
+            grads = None  # free the last step's gradients before scoring: they would raise the peak RSS
+            if not log:
+                continue
+            rank1, mean_ap = evaluate_model(model, data, feature)
+            records.append(PhaseRecord(rri_index, name, s_of_w(model.eigenlayer).value, model.loss(X, y), rank1, mean_ap))
+            if out_dir is not None:
+                save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
+        return records
+
+    return run_phases
 
 
 def train_step0(
@@ -163,14 +189,8 @@ def train_step0(
     out_dir=None,
 ) -> tuple[EigenModel, PhaseRecord]:
     """Initial fine-tuning with every parameter free."""
-    schedule.validate()
-    X, y, c = training_arrays(data)
-    if model.num_classes != c:
-        raise ValidationError(f"model has {model.num_classes} classes but the dataset has {c} training identities")
-    rng = np.random.default_rng([schedule.seed, 0])
-    _train_epochs(model, X, y, rng, schedule.step0_epochs, schedule.lr_step0, schedule.batch_size, frozen=False)
-    record = _record(model, X, y, data, feature, 0, PHASE_STEP0)
-    _checkpoint(model, out_dir, 0, PHASE_STEP0)
+    run_phases = _setup(model, data, schedule, 0, feature)
+    [record] = run_phases([(PHASE_STEP0, None, schedule.step0_epochs, schedule.lr_step0, False)], 0, out_dir)
     return model, record
 
 
@@ -189,31 +209,12 @@ def run_rri(
     without stabilizing is not an error; the trace just reports
     ``converged=False``.
     """
-    schedule.validate()
-    X, y, _ = training_arrays(data)
-    n, k = model.eigenlayer.shape
-    if n < k:
-        raise ValidationError(f"eigenlayer must be tall for decorrelation, got {n}x{k}")
-    rng = np.random.default_rng([schedule.seed, 1])
+    run_phases = _setup(model, data, schedule, 1, feature)
     trace = RriTrace()
-    score_history: list[float] = []
     for t in range(1, schedule.max_rri + 1):
-        if method is not DecorrMethod.ORIG:
-            model.eigenlayer = decorrelate.apply(model.eigenlayer, method)
-        trace.records.append(_record(model, X, y, data, feature, t, PHASE_DECORRELATE))
-        _checkpoint(model, out_dir, t, PHASE_DECORRELATE)
-
-        _train_epochs(model, X, y, rng, schedule.restraint_epochs, schedule.lr_restraint, schedule.batch_size, frozen=True)
-        trace.records.append(_record(model, X, y, data, feature, t, PHASE_RESTRAINT))
-        _checkpoint(model, out_dir, t, PHASE_RESTRAINT)
-
-        _train_epochs(model, X, y, rng, schedule.relaxation_epochs, schedule.lr_relaxation, schedule.batch_size, frozen=False)
-        record = _record(model, X, y, data, feature, t, PHASE_RELAXATION)
-        trace.records.append(record)
-        _checkpoint(model, out_dir, t, PHASE_RELAXATION)
-
-        score_history.append(record.s_of_w)
-        if rri_converged(score_history, schedule.epsilon_s):
+        trace.records += run_phases(_iteration_phases(schedule, method), t, out_dir)
+        relaxed = [r.s_of_w for r in trace.records if r.phase == PHASE_RELAXATION]
+        if rri_converged(relaxed, schedule.epsilon_s):
             trace.converged = True
             break
     return model, trace
@@ -226,16 +227,13 @@ def run_baseline(
     n_rri: int,
     feature: str = "input",
 ) -> tuple[EigenModel, PhaseRecord]:
-    """Equal-epoch control: the same per-iteration epoch and learning-rate
-    budget as ``run_rri`` over ``n_rri`` iterations, but with no weight
-    replacement and nothing frozen."""
-    schedule.validate()
-    X, y, _ = training_arrays(data)
-    rng = np.random.default_rng([schedule.seed, 1])
-    for _ in range(n_rri):
-        _train_epochs(model, X, y, rng, schedule.restraint_epochs, schedule.lr_restraint, schedule.batch_size, frozen=False)
-        _train_epochs(model, X, y, rng, schedule.relaxation_epochs, schedule.lr_relaxation, schedule.batch_size, frozen=False)
-    return model, _record(model, X, y, data, feature, n_rri, PHASE_BASELINE)
+    """Equal-epoch control: ``run_rri``'s phases over ``n_rri`` iterations
+    with no weight replacement and nothing frozen, recorded once at the
+    end."""
+    run_phases = _setup(model, data, schedule, 1, feature)
+    run_phases(_iteration_phases(schedule, None) * n_rri, n_rri, log=False)
+    [record] = run_phases([(PHASE_BASELINE, None, 0, 0.0, False)], n_rri)
+    return model, record
 
 
 def run_decorr_comparison(
@@ -252,14 +250,13 @@ def run_decorr_comparison(
     ordered = [m for m in DecorrMethod if m in requested]
     if not ordered:
         raise ValidationError("no decorrelation methods requested")
-    X, y, c = training_arrays(data)
+    _, _, c = training_arrays(data)
     base = build_model(data.dim, hidden_dims, eigen_dim, c, schedule.seed)
     base, _ = train_step0(base, data, schedule, feature)
     rows = []
     for method in ordered:
-        model, _ = run_rri(base.copy(), data, schedule, method=method, feature=feature)
-        rank1, mean_ap = evaluate_model(model, data, feature)
-        rows.append(ComparisonRow(method=method, rank1=rank1, map=mean_ap))
+        _, trace = run_rri(base.copy(), data, schedule, method=method, feature=feature)
+        rows.append(ComparisonRow(method=method, rank1=trace.records[-1].rank1, map=trace.records[-1].map))
     return rows
 
 

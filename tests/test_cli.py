@@ -102,6 +102,26 @@ class TestTrain:
         assert rc == 2
         assert "optimizer" in capsys.readouterr().err
 
+    def test_wide_eigenlayer_rejected_before_step0(self, tmp_path, config_path, capsys):
+        out = tmp_path / "wide"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), "--eigen-dim", "13"])  # backbone ends at 12
+        assert rc == 2
+        assert "tall" in capsys.readouterr().err
+        assert list(out.glob("ckpt_*.svdn")) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "diagnose"])
+def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, command):
+    missing = tmp_path / f"missing_{command}.input"
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["eval", "--config", str(config_path), "--out", out, "--ckpt", str(missing)],
+        "train": ["train", "--config", str(missing), "--out", out],
+        "diagnose": ["diagnose", "--out", out, str(missing)],
+    }[command]
+    assert main(argv) == 2
+    assert str(missing) in capsys.readouterr().err
+
 
 class TestEval:
     def test_report_written(self, tmp_path, config_path, trained, capsys):

@@ -5,7 +5,7 @@ from svdn.decorrelate import DecorrMethod
 from svdn.diagnostics import s_of_w
 from svdn.errors import NumericError, ValidationError
 from svdn.evaluation import generate_synthetic
-from svdn.network import build_model, load_checkpoint
+from svdn.network import build_model, load_checkpoint, sgd_step
 from svdn.trainer import (
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
@@ -21,7 +21,6 @@ from svdn.trainer import (
     training_arrays,
     write_trace,
 )
-import pytest
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +75,14 @@ class TestStep0:
 
     def test_class_count_mismatch_rejected(self, small_data):
         _, _, c = training_arrays(small_data)
-        model = build_model(small_data.dim, (16, 12), 6, c + 1, seed=0)
-        with pytest.raises(ValidationError, match="classes"):
-            train_step0(model, small_data, small_schedule())
+        sched = small_schedule()
+        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
+            model = build_model(small_data.dim, (16, 12), 6, c + 3, seed=0)
+            before = model.copy()
+            with pytest.raises(ValidationError, match="classes"):
+                entry(model, small_data, sched)
+            for (_, a), (_, b) in zip(before.param_items(), model.param_items()):
+                assert np.array_equal(a, b)  # rejected before any training
 
     def test_divergence_raises_with_epoch(self, small_data):
         # overflow in the forward pass turns the loss into NaN/inf
@@ -168,8 +172,9 @@ class TestRunRri:
         _, _, c = training_arrays(small_data)
         model = build_model(small_data.dim, (16, 4), 6, c, seed=0)  # 4 < 6
         sched = small_schedule()
-        with pytest.raises(ValidationError, match="tall"):
-            run_rri(model, small_data, sched)
+        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
+            with pytest.raises(ValidationError, match="tall"):
+                entry(model, small_data, sched)
 
     def test_determinism_identical_traces_and_weights(self, small_data):
         results = []
@@ -217,9 +222,31 @@ class TestBaselineAndComparison:
         methods = {DecorrMethod.US, DecorrMethod.ORIG}
         rows = run_decorr_comparison(small_data, sched, methods=methods, hidden_dims=(16, 12), eigen_dim=6)
         assert [r.method for r in rows] == [DecorrMethod.ORIG, DecorrMethod.US]
+        base, _ = train_step0(small_model(small_data, seed=sched.seed), small_data, sched)
         for r in rows:
             assert 0.0 <= r.map <= 1.0
             assert 0.0 <= r.rank1 <= 1.0
+            _, trace = run_rri(base.copy(), small_data, sched, method=r.method)
+            assert (r.rank1, r.map) == (trace.records[-1].rank1, trace.records[-1].map)
+
+    def test_baseline_takes_as_many_sgd_steps_as_rri_training(self, small_data, monkeypatch):
+        sched = small_schedule(max_rri=2, epsilon_s=1e-12)
+        model, _ = train_step0(small_model(small_data), small_data, sched)
+        steps = []
+
+        def counting_step(*args, **kwargs):
+            steps[-1] += 1
+            return sgd_step(*args, **kwargs)
+
+        monkeypatch.setattr("svdn.trainer.sgd_step", counting_step)
+        steps.append(0)
+        _, trace = run_rri(model.copy(), small_data, sched)
+        steps.append(0)
+        run_baseline(model.copy(), small_data, sched, n_rri=trace.records[-1].rri_index)
+        n_train = training_arrays(small_data)[1].shape[0]
+        per_epoch = -(-n_train // sched.batch_size)
+        assert trace.records[-1].rri_index == 2
+        assert steps == [2 * (sched.restraint_epochs + sched.relaxation_epochs) * per_epoch] * 2
 
     def test_comparison_rejects_empty_methods(self, small_data):
         with pytest.raises(ValidationError):
