@@ -97,13 +97,29 @@ class RetrievalDataset:
         bad = set(np.unique(self.split)) - set(SPLITS)
         if bad:
             raise ValidationError(f"unknown split tags {sorted(bad)}; expected one of {SPLITS}")
-        g_ids, g_cams = self.gallery_ids, self.gallery_cameras
-        for qid, qcam in zip(self.query_ids, self.query_cameras):
-            if not np.any((g_ids == qid) & (g_cams != qcam)):
-                raise ValidationError(
-                    f"query identity {qid} (camera {qcam}) has no gallery sample under a different camera"
-                )
+        # a query passes when its identity has more gallery rows than its
+        # (identity, camera) cell; both counted over dense codes shared by
+        # gallery and queries
+        q_ids, q_cams = self.query_ids, self.query_cameras
+        n_gallery = self.gallery_ids.shape[0]
+        _, id_code = np.unique(np.concatenate([self.gallery_ids, q_ids]), return_inverse=True)
+        cams, cam_code = np.unique(np.concatenate([self.gallery_cameras, q_cams]), return_inverse=True)
+        cell_code = id_code * cams.size + cam_code
+        bad = _gallery_count(id_code, n_gallery) <= _gallery_count(cell_code, n_gallery)
+        if bad.any():
+            qi = int(np.argmax(bad))
+            raise ValidationError(
+                f"query identity {q_ids[qi]} (camera {q_cams[qi]}) has no gallery sample under a different camera"
+            )
         return self
+
+
+def _gallery_count(codes: np.ndarray, n_gallery: int) -> np.ndarray:
+    """For each code after the first ``n_gallery``, how many of the first
+    ``n_gallery`` codes equal it."""
+    gallery = np.sort(codes[:n_gallery])
+    queries = codes[n_gallery:]
+    return np.searchsorted(gallery, queries, side="right") - np.searchsorted(gallery, queries, side="left")
 
 
 @dataclass
@@ -213,58 +229,87 @@ def rank_gallery(query_feats, gallery_feats) -> np.ndarray:
     return np.argsort(pairwise_sq_dist(q, g), axis=1, kind="stable")
 
 
-def _positive_ranks(key: np.ndarray, positives: np.ndarray, junk: np.ndarray) -> np.ndarray:
-    """Ascending 0-based ranks of the positive gallery rows in one query's
-    junk-filtered list, where rows are ordered by ``key`` and equal keys
-    by gallery index.  A row's rank is the number of non-junk rows before
-    it in that order, so no gallery ordering is ever materialized."""
-    ranks = np.empty(positives.size, dtype=np.int64)
-    for t, p in enumerate(positives.tolist()):
-        v = key[p]
-        ranks[t] = np.count_nonzero(key[:p] <= v) + np.count_nonzero(key[p + 1 :] < v)
-    if junk.size:
-        jk, kp = key[junk], key[positives][:, None]
-        ranks -= ((jk < kp) | ((jk == kp) & (junk < positives[:, None]))).sum(axis=1)
-    ranks.sort()
-    return ranks
-
-
 def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     """The report of ``evaluate`` from consecutive blocks of per-query
-    ordering keys (one row per query, one column per gallery row)."""
+    ordering keys (one row per query, one column per gallery row).
+
+    A positive's 0-based rank in its query's junk-filtered list is the
+    number of non-junk rows before it, where rows are ordered by key and
+    equal keys by gallery index.  Each row sorts only the keys at or below
+    its worst positive's key; ``searchsorted`` then gives the rows strictly
+    before every positive and flags exact ties, the only case that needs
+    an explicit count of lower-index equal rows.  Junk rows before a
+    positive are subtracted with one compare per block."""
     q_ids, q_cams = dataset.query_ids, dataset.query_cameras
     g_ids, g_cams = dataset.gallery_ids, dataset.gallery_cameras
     n_query, n_gallery = q_ids.shape[0], g_ids.shape[0]
-    # gallery rows grouped by identity, ascending index within a group
+    # (query, same-identity gallery row) pairs, query-major, ascending
+    # gallery index within a query
     by_id = np.argsort(g_ids, kind="stable")
     lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
-    hi = np.searchsorted(g_ids[by_id], q_ids, side="right")
+    sizes = np.searchsorted(g_ids[by_id], q_ids, side="right") - lo
+    pair_q = np.repeat(np.arange(n_query), sizes)
+    first_pair = np.cumsum(sizes) - sizes
+    pair_g = by_id[np.repeat(lo - first_pair, sizes) + np.arange(pair_q.size)]
+    is_junk = g_cams[pair_g] == q_cams[pair_q]
+    pos_q, pos_g = pair_q[~is_junk], pair_g[~is_junk]
+    n_pos = np.bincount(pos_q, minlength=n_query)
+    pos_start = np.concatenate(([0], np.cumsum(n_pos)))
+    # junk rows padded to one row per query; the padding is masked out
+    n_junk = np.bincount(pair_q[is_junk], minlength=n_query)
+    junk_valid = np.arange(n_junk.max(initial=0)) < n_junk[:, None]
+    junk = np.zeros(junk_valid.shape, dtype=np.int64)
+    junk[junk_valid] = pair_g[is_junk]
 
-    first_hits: list[int] = []
-    aps: list[float] = []
-    qi = 0
+    ranks = np.empty(pos_g.size, dtype=np.int64)
+    start = 0
     for keys in key_blocks:
-        for key in keys:
-            same = by_id[lo[qi] : hi[qi]]
-            is_junk = g_cams[same] == q_cams[qi]
-            qi += 1
-            if is_junk.all():
-                continue
-            ranks = _positive_ranks(key, same[~is_junk], same[is_junk])
-            first_hits.append(int(ranks[0]))
-            aps.append(float((np.arange(1, ranks.size + 1) / (ranks + 1.0)).mean()))
-    excluded = n_query - len(aps)
+        stop = start + keys.shape[0]
+        block = slice(pos_start[start], pos_start[stop])
+        rows, cols = pos_q[block] - start, pos_g[block]
+        v = keys[rows, cols]
+        below = np.empty_like(cols)
+        upto = np.empty_like(cols)
+        bounds = pos_start[start : stop + 1] - pos_start[start]
+        with_pos = np.flatnonzero(n_pos[start:stop])
+        worst = np.maximum.reduceat(v, bounds[with_pos]).tolist()
+        bounds = bounds.tolist()
+        for r, w in zip(with_pos.tolist(), worst):
+            a, b = bounds[r], bounds[r + 1]
+            row, vr = keys[r], v[a:b]
+            kept = row[row <= w]
+            kept.sort()
+            below[a:b] = kept.searchsorted(vr, side="left")
+            upto[a:b] = kept.searchsorted(vr, side="right")
+        for t in np.flatnonzero(upto - below > 1).tolist():
+            below[t] += np.count_nonzero(keys[rows[t], : cols[t]] == v[t])
+        jg, jv = junk[pos_q[block]], junk_valid[pos_q[block]]
+        jk, vv = keys[rows[:, None], jg], v[:, None]
+        below -= (((jk < vv) | ((jk == vv) & (jg < cols[:, None]))) & jv).sum(axis=1)
+        ranks[block] = below
+        start = stop
+
+    # queries grouped by positive count: each AP row is one contiguous mean
+    first_hit = np.zeros(n_query, dtype=np.int64)
+    ap = np.zeros(n_query)
+    for m in np.unique(n_pos[n_pos > 0]).tolist():
+        qs = np.flatnonzero(n_pos == m)
+        r = np.sort(ranks[pos_start[qs][:, None] + np.arange(m)], axis=1)
+        first_hit[qs] = r[:, 0]
+        ap[qs] = (np.arange(1, m + 1) / (r + 1.0)).mean(axis=1)
+    scored = n_pos > 0
+    excluded = n_query - int(scored.sum())
     if excluded:
         warnings.warn(
             f"evaluate: {excluded} of {n_query} queries had no valid positive after junk filtering",
             stacklevel=3,
         )
-    if not aps:
+    if excluded == n_query:
         raise DegeneracyError("evaluate: no query has a valid positive; nothing to score")
 
-    counts = np.bincount(first_hits, minlength=n_gallery)
-    cmc = np.cumsum(counts) / len(first_hits)
-    per_query_ap = np.asarray(aps)
+    counts = np.bincount(first_hit[scored], minlength=n_gallery)
+    cmc = np.cumsum(counts) / (n_query - excluded)
+    per_query_ap = ap[scored]
     return RankingReport(cmc=cmc, map=float(per_query_ap.mean()), per_query_ap=per_query_ap, excluded_queries=excluded)
 
 
@@ -327,36 +372,26 @@ def l2_normalize(feats) -> np.ndarray:
 # round-trip is value-exact and the bytes are reproducible.
 def save_dataset(dataset: RetrievalDataset, path) -> None:
     d = dataset.dim
+    labels = zip(dataset.ids.astype(np.int64).tolist(), dataset.cameras.astype(np.int64).tolist(), dataset.split.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "camera", "split"] + [f"f{j}" for j in range(d)])
-        for i in range(dataset.features.shape[0]):
-            row = [int(dataset.ids[i]), int(dataset.cameras[i]), str(dataset.split[i])]
-            row += [repr(float(v)) for v in dataset.features[i]]
-            writer.writerow(row)
+        fh.write(",".join(["id", "camera", "split"] + [f"f{j}" for j in range(d)]) + "\n")
+        # one row of Python floats at a time keeps the transient memory small
+        fh.writelines(
+            f"{i},{c},{s},{','.join(map(repr, row.tolist()))}\n" for (i, c, s), row in zip(labels, dataset.features)
+        )
 
 
 def load_dataset(path) -> RetrievalDataset:
+    """Read a dataset CSV.  A malformed header or row raises
+    ValidationError naming ``path`` (and ``path:lineno`` for a row)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty dataset file") from None
-        d = len(header) - 3
-        if d < 1 or header[:3] != ["id", "camera", "split"] or header[3:] != [f"f{j}" for j in range(d)]:
-            raise ValidationError(f"{path}: malformed header; expected id,camera,split,f0..f{{d-1}}")
-        ids, cams, split, feats = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 3:
-                raise ValidationError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
-            try:
-                ids.append(int(row[0]))
-                cams.append(int(row[1]))
-                feats.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            split.append(row[2])
+        text = fh.read()
+    try:
+        ids, cams, split, feats = _read_plain(text)
+    except ValueError:
+        # quoting, CR line ends or a field the plain reader rejects: parse
+        # row by row, which also names the first bad line
+        ids, cams, split, feats = _read_rows(path, text)
     dataset = RetrievalDataset(
         features=np.asarray(feats, dtype=np.float64),
         ids=np.asarray(ids, dtype=np.int64),
@@ -364,6 +399,48 @@ def load_dataset(path) -> RetrievalDataset:
         split=np.asarray(split),
     )
     return dataset.validate()
+
+
+def _read_plain(text: str):
+    """Columns of a dataset CSV in the unquoted layout ``save_dataset``
+    writes, features parsed by ``np.loadtxt`` (the same doubles as
+    ``float``); ValueError for anything else."""
+    if '"' in text or "\r" in text or "\0" in text:
+        raise ValueError("not plain CSV")
+    header, *body = text.split("\n")
+    if body and body[-1] == "":
+        body.pop()
+    d = header.count(",") - 2
+    if not body or d < 1 or header.split(",") != ["id", "camera", "split"] + [f"f{j}" for j in range(d)]:
+        raise ValueError("malformed header or no rows")
+    if any(line.count(",") != d + 2 for line in body):
+        raise ValueError("wrong field count")
+    ids, cams, split = zip(*(line.split(",", 3)[:3] for line in body))
+    feats = np.loadtxt(body, delimiter=",", usecols=range(3, d + 3), dtype=np.float64, comments=None, ndmin=2)
+    return list(map(int, ids)), list(map(int, cams)), split, feats
+
+
+def _read_rows(path, text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty dataset file") from None
+    d = len(header) - 3
+    if d < 1 or header[:3] != ["id", "camera", "split"] or header[3:] != [f"f{j}" for j in range(d)]:
+        raise ValidationError(f"{path}: malformed header; expected id,camera,split,f0..f{{d-1}}")
+    ids, cams, split, feats = [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 3:
+            raise ValidationError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
+        try:
+            ids.append(int(row[0]))
+            cams.append(int(row[1]))
+            feats.append([float(v) for v in row[3:]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        split.append(row[2])
+    return ids, cams, split, feats
 
 
 def write_report(report: RankingReport, path) -> None:
@@ -379,8 +456,7 @@ def write_report(report: RankingReport, path) -> None:
         writer.writerow(["map", repr(float(report.map))])
         writer.writerow(["valid_queries", len(report.per_query_ap)])
         writer.writerow(["excluded_queries", report.excluded_queries])
-        for r in range(1, n + 1):
-            writer.writerow([f"cmc{r}", repr(float(report.cmc[r - 1]))])
+        fh.writelines(f"cmc{r},{value!r}\n" for r, value in enumerate(report.cmc.tolist(), start=1))
 
 
 def format_report(report: RankingReport) -> str:

@@ -268,7 +268,8 @@ def save_checkpoint(model: EigenModel, path) -> None:
 
 def load_checkpoint(path) -> EigenModel:
     """Read a model written by :func:`save_checkpoint`, validating the
-    magic, version, layer roles, and shape chain."""
+    magic, version, layer roles, shape chain, and that every parameter is
+    finite."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
@@ -318,4 +319,8 @@ def load_checkpoint(path) -> EigenModel:
     for (r1, c1), (r2, c2) in zip(widths, widths[1:]):
         if c1 != r2:
             raise ValidationError(f"{path}: layer shapes do not chain ({c1} -> {r2})")
-    return EigenModel(backbone=backbone, eigenlayer=eigen_w, classifier=AffineLayer(cls_w, cls_b))
+    model = EigenModel(backbone=backbone, eigenlayer=eigen_w, classifier=AffineLayer(cls_w, cls_b))
+    for name, p in model.param_items():
+        if not np.isfinite(p).all():
+            raise ValidationError(f"{path}: non-finite entries in {name}")
+    return model

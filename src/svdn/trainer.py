@@ -64,6 +64,8 @@ class RriSchedule:
             if f.name != "seed" and not value > 0:
                 bound = ">= 1" if isinstance(f.default, int) else "> 0"
                 raise ValidationError(f"schedule field {f.name} must be {bound}, got {value}")
+        if self.seed < 0:
+            raise ValidationError(f"schedule field seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -4,6 +4,9 @@ Everything here is deliberately written the slow, obvious way (python
 loops, textbook iterations) so it shares no code path with the library.
 """
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -137,3 +140,40 @@ def oracle_evaluate(q_ids, q_cams, g_ids, g_cams, ranked):
         aps.append(pr_integration_ap(hits))
     cmc = np.array([sum(1 for f in firsts if f < r) / len(firsts) for r in range(1, n_gallery + 1)])
     return cmc, float(np.mean(aps)), aps, excluded
+
+
+def loop_rank_aps(q_ids, q_cams, g_ids, g_cams, dists):
+    """Per-query APs (queries with a positive only) from one python count
+    per positive: the non-junk rows strictly closer, plus those at equal
+    distance with a lower gallery index.  Each AP is the same expression
+    the library evaluates, so the values must agree bit for bit."""
+    aps = []
+    for qi in range(len(q_ids)):
+        kept = [j for j in range(len(g_ids)) if not (g_ids[j] == q_ids[qi] and g_cams[j] == q_cams[qi])]
+        positives = [p for p in kept if g_ids[p] == q_ids[qi]]
+        if not positives:
+            continue
+        d = dists[qi]
+        ranks = sorted(sum(1 for j in kept if d[j] < d[p] or (d[j] == d[p] and j < p)) for p in positives)
+        aps.append(float((np.arange(1, len(ranks) + 1) / (np.asarray(ranks) + 1.0)).mean()))
+    return np.asarray(aps)
+
+
+def loop_first_unmatched_query(q_ids, q_cams, g_ids, g_cams):
+    """Index of the first query whose identity has no gallery row under a
+    different camera, or None."""
+    for qi in range(len(q_ids)):
+        if not any(g_ids[j] == q_ids[qi] and g_cams[j] != q_cams[qi] for j in range(len(g_ids))):
+            return qi
+    return None
+
+
+def csv_dataset_text(dataset):
+    """A dataset CSV as written through ``csv.writer``, one field at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "camera", "split"] + [f"f{j}" for j in range(dataset.features.shape[1])])
+    for i in range(dataset.features.shape[0]):
+        row = [int(dataset.ids[i]), int(dataset.cameras[i]), str(dataset.split[i])]
+        writer.writerow(row + [repr(float(v)) for v in dataset.features[i]])
+    return out.getvalue()

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from svdn.cli import main
 from svdn.config import CONFIG_KEYS, RunConfig
 from svdn.evaluation import load_dataset
+from svdn.network import load_checkpoint, save_checkpoint
 
 CFG = """
 dataset = {dataset}
@@ -109,6 +111,14 @@ class TestTrain:
         assert "tall" in capsys.readouterr().err
         assert list(out.glob("ckpt_*.svdn")) == []
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
+        out = tmp_path / "neg"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert list(out.glob("ckpt_*.svdn")) == []
+
 
 @pytest.mark.parametrize("command", ["eval", "train", "diagnose"])
 def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, command):
@@ -144,6 +154,24 @@ class TestEval:
             "--ckpt", str(trained / "ckpt_final.svdn"), "--l2-normalize",
         ])
         assert rc == 0
+
+
+@pytest.mark.parametrize("layer", ["eigenlayer", "backbone0.weight", "classifier.bias"])
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_non_finite_checkpoint_exits_2_naming_layer(tmp_path, config_path, trained, capsys, command, layer):
+    # the input feature never reads the eigenlayer, so only the loader can catch it
+    model = load_checkpoint(trained / "ckpt_final.svdn")
+    dict(model.param_items())[layer].flat[0] = np.nan
+    ckpt = tmp_path / "nan.svdn"
+    save_checkpoint(model, ckpt)
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["eval", "--config", str(config_path), "--out", out, "--ckpt", str(ckpt), "--feature", "input"],
+        "diagnose": ["diagnose", "--config", str(config_path), "--out", out, str(ckpt)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and layer in err
 
 
 class TestDiagnose:

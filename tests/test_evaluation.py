@@ -1,4 +1,7 @@
+import re
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,21 @@ from svdn.evaluation import (
     write_report,
 )
 
-from oracles import loop_sq_dists, oracle_evaluate
+from oracles import (
+    csv_dataset_text,
+    loop_first_unmatched_query,
+    loop_rank_aps,
+    loop_sq_dists,
+    oracle_evaluate,
+)
+
+# finite doubles, with the edge cases named explicitly
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+)
+# identity and camera labels, negative and beyond 32 bits
+LABELS = st.sampled_from([-(2**40), -1, 2**40])
 
 # measured once on the default generator configuration and frozen as a
 # regression bound (+/- 0.1)
@@ -195,6 +212,20 @@ def tie_heavy_case(seed, n_query, n_gallery, n_ids=5, n_cams=3, dim=2):
     return manual_dataset(q_ids, q_cams, g_ids, g_cams), q, g
 
 
+def with_duplicates_and_extra_positives(ds, g, n_cams, rng, n_dup, max_extra):
+    """The gallery of ``ds`` plus ``n_dup`` copies of random gallery rows
+    (features and labels) and up to ``max_extra`` more cross-camera
+    positives for each query but the last, in shuffled gallery order."""
+    q_ids, q_cams = ds.query_ids, ds.query_cameras
+    dup = rng.integers(0, g.shape[0], n_dup)
+    extra = np.repeat(np.arange(q_ids.size - 1), rng.integers(0, max_extra + 1, q_ids.size - 1))
+    g_ids = np.concatenate([ds.gallery_ids, ds.gallery_ids[dup], q_ids[extra]])
+    g_cams = np.concatenate([ds.gallery_cameras, ds.gallery_cameras[dup], (q_cams[extra] + 1) % n_cams])
+    g = np.vstack([g, g[dup], rng.integers(0, 3, size=(extra.size, g.shape[1])).astype(float)])
+    order = rng.permutation(g_ids.size)
+    return manual_dataset(q_ids, q_cams, g_ids[order], g_cams[order]), g[order]
+
+
 def assert_same_report(a, b):
     assert np.array_equal(a.cmc, b.cmc)
     assert np.array_equal(a.per_query_ap, b.per_query_ap)
@@ -230,19 +261,39 @@ class TestEvaluateFeatures:
         n_cams=st.integers(2, 4),
         dim=st.integers(1, 3),
         block=st.integers(1, 8),
+        n_dup=st.integers(0, 20),
+        max_extra=st.integers(0, 12),
     )
-    def test_property_matches_ranked_path_and_oracle(self, seed, n_query, extra_gallery, n_ids, n_cams, dim, block):
+    def test_property_matches_ranked_path_and_oracle(
+        self, seed, n_query, extra_gallery, n_ids, n_cams, dim, block, n_dup, max_extra
+    ):
         ds, q, g = tie_heavy_case(seed, n_query, n_query + extra_gallery, n_ids, n_cams, dim)
+        ds, g = with_duplicates_and_extra_positives(ds, g, n_cams, np.random.default_rng(seed), n_dup, max_extra)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with mock.patch.object(evaluation, "QUERY_BLOCK", block):
                 got = evaluate_features(ds, q, g)
             ranked = rank_gallery(q, g)
             assert_same_report(got, evaluate(ds, ranked))
-        cmc, mean_ap, _, excluded = oracle_evaluate(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras, ranked)
+        args = (ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras)
+        assert np.array_equal(got.per_query_ap, loop_rank_aps(*args, loop_sq_dists(q, g)))
+        cmc, mean_ap, _, excluded = oracle_evaluate(*args, ranked)
         assert excluded == got.excluded_queries
         assert np.abs(got.cmc - cmc).max() <= 1e-12
         assert abs(got.map - mean_ap) <= 1e-12
+
+    def test_many_positives_per_query_match_loop_reference(self):
+        # APs over 8+ and 128+ positives take numpy's pairwise summation
+        rng = np.random.default_rng(3)
+        counts = [1, 7, 8, 9, 130]
+        q_ids = np.arange(len(counts))
+        g_ids = np.concatenate([np.repeat(q_ids, counts), rng.integers(0, len(counts), 60)])
+        g_cams = np.concatenate([np.ones(sum(counts), dtype=int), rng.integers(0, 2, 60)])
+        ds = manual_dataset(q_ids, np.zeros_like(q_ids), g_ids, g_cams)
+        q, g = rng.normal(size=(len(counts), 3)), rng.normal(size=(g_ids.size, 3))
+        got = evaluate_features(ds, q, g)
+        reference = loop_rank_aps(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras, loop_sq_dists(q, g))
+        assert np.array_equal(got.per_query_ap, reference)
 
     def test_shape_mismatch_rejected(self):
         ds, q, g = tie_heavy_case(seed=0, n_query=4, n_gallery=9)
@@ -309,6 +360,26 @@ class TestGenerator:
             bad.validate()
 
 
+class TestValidate:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(LABELS, LABELS, st.sampled_from(["query", "gallery"])), min_size=1, max_size=25))
+    def test_matches_per_query_loop(self, rows):
+        ids, cams, split = zip(*rows)
+        ds = RetrievalDataset(
+            features=np.zeros((len(rows), 2)),
+            ids=np.array(ids, dtype=np.int64),
+            cameras=np.array(cams, dtype=np.int64),
+            split=np.array(split),
+        )
+        first = loop_first_unmatched_query(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras)
+        if first is None:
+            ds.validate()
+        else:
+            named = f"query identity {ds.query_ids[first]} (camera {ds.query_cameras[first]}) has no"
+            with pytest.raises(ValidationError, match=re.escape(named)):
+                ds.validate()
+
+
 class TestCsvRoundTrips:
     def test_dataset_round_trip_is_exact(self, tmp_path):
         ds = small_dataset(seed=8)
@@ -343,6 +414,64 @@ class TestCsvRoundTrips:
         path.write_text("id,camera,split,f0\n1,0,holdout,0.5\n")
         with pytest.raises(ValidationError):
             load_dataset(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 5), n=st.integers(1, 8))
+    def test_round_trip_is_byte_exact(self, data, d, n):
+        ds = RetrievalDataset(
+            features=np.array(data.draw(st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=n, max_size=n))),
+            ids=np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
+            cameras=np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
+            split=np.array(data.draw(st.lists(st.sampled_from(["train", "gallery"]), min_size=n, max_size=n))),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ds.csv"
+            save_dataset(ds, path)
+            assert path.read_text() == csv_dataset_text(ds)
+            loaded = load_dataset(path)
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(loaded.ids, ds.ids)
+        assert np.array_equal(loaded.cameras, ds.cameras)
+        assert np.array_equal(loaded.split, ds.split)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda fields: fields[:-1],
+            lambda fields: fields + ["0.5"],
+            lambda fields: fields[:3] + ["abc"] + fields[4:],
+            lambda fields: ["x"] + fields[1:],
+            lambda fields: [],
+        ],
+        ids=["field_missing", "field_extra", "non_numeric_feature", "non_numeric_id", "blank_line"],
+    )
+    def test_malformed_row_names_path_and_line(self, tmp_path, mutate):
+        path = tmp_path / "ds.csv"
+        save_dataset(small_dataset(seed=12), path)
+        lines = path.read_text().split("\n")
+        lines[4] = ",".join(mutate(lines[4].split(",")))
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:5:")):
+            load_dataset(path)
+
+    def test_every_row_one_field_too_many_names_line_2(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(small_dataset(seed=12), path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [row + ",0.5" for row in rows]) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2:")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("dialect", ["crlf", "quoted"])
+    def test_csv_dialects_load_like_plain(self, tmp_path, dialect):
+        ds = small_dataset(seed=13)
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        save_dataset(ds, plain)
+        text = plain.read_text()
+        other.write_text(text.replace("\n", "\r\n") if dialect == "crlf" else text.replace(",gallery,", ',"gallery",'), newline="")
+        loaded = load_dataset(other)
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(loaded.split, ds.split)
 
     def test_report_csv_and_table(self, tmp_path):
         report = RankingReport(cmc=np.array([0.5, 0.75, 1.0]), map=0.625, per_query_ap=np.array([0.5, 0.75]))
