@@ -18,14 +18,14 @@ w = np.stack([base + 0.4 * rng.normal(size=6) for _ in range(4)], axis=1)
 h = rng.normal(size=(50, 6))  # feature rows entering the layer
 
 print("original weight matrix:")
-print(f"  correlation score s_of_w = {s_of_w(w).value:.4f}  (1.0 would mean orthogonal columns)")
+print(f"  correlation score s_of_w = {s_of_w(w):.4f}  (1.0 would mean orthogonal columns)")
 print(f"  gram matrix off-diagonal mass = {np.abs(w.T @ w - np.diag(np.diag(w.T @ w))).sum():.3f}")
 
 print("\nreplacement transforms:")
 for method in DecorrMethod:
     replaced = apply(w, method)
     gap = distance_preservation_gap(w, replaced, h)
-    score = s_of_w(replaced).value
+    score = s_of_w(replaced)
     print(f"  {method.value:<5}  s_of_w = {score:.6f}   max distance change = {gap:.3e}")
 
 print(

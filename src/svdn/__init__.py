@@ -12,7 +12,7 @@ verifies that the orthogonalized embeddings retrieve better.
 __version__ = "0.1.0"
 
 from .decorrelate import DecorrMethod, distance_preservation_gap
-from .diagnostics import CorrelationScore, rri_converged, s_of_w
+from .diagnostics import rri_converged, s_of_w
 from .errors import DegeneracyError, NumericError, SvdnError, ValidationError
 from .evaluation import (
     RankingReport,
@@ -50,7 +50,6 @@ __all__ = [
     "pairwise_sq_dist",
     "DecorrMethod",
     "distance_preservation_gap",
-    "CorrelationScore",
     "s_of_w",
     "rri_converged",
     "EigenModel",

@@ -159,7 +159,7 @@ def cmd_diagnose(args, out, cfg, data) -> None:
     rows = []
     for path in _collect_checkpoints(args.checkpoints):
         model = load_checkpoint(path)
-        score = s_of_w(model.eigenlayer).value
+        score = s_of_w(model.eigenlayer)
         m = _CKPT_NAME.search(path.name)
         rri_index = m.group(1) if m else ""
         phase = m.group(2) if m else ""

@@ -11,9 +11,8 @@ Unknown keys and keys given twice are rejected by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .network import FEATURE_KINDS
 from .trainer import RriSchedule
 
@@ -95,7 +94,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(), source=str(path))
+    return parse_config(read_text(path), source=str(path))
 
 
 def override_config(cfg: RunConfig, **overrides) -> RunConfig:

@@ -11,7 +11,6 @@ signal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,16 +19,8 @@ from .errors import DegeneracyError
 from .linalg import as_matrix
 
 
-@dataclass(frozen=True)
-class CorrelationScore:
-    """Column-orthogonality score in [1/k, 1] for a matrix with k columns."""
-
-    value: float
-    k: int
-
-
-def s_of_w(w) -> CorrelationScore:
-    """Correlation score of the columns of ``w``.
+def s_of_w(w) -> float:
+    """Correlation score of the columns of ``w``, in [1/k, 1] for k columns.
 
     Columns of zero norm contribute nothing to either sum and trigger a
     warning; an all-zero matrix makes the ratio 0/0 and is rejected.
@@ -42,15 +33,14 @@ def s_of_w(w) -> CorrelationScore:
         raise DegeneracyError("s_of_w: all columns have zero norm")
     if np.any(diag == 0.0):
         warnings.warn("s_of_w: zero-norm column contributes nothing to the score", stacklevel=2)
-    return CorrelationScore(value=float(diag.sum()) / total, k=w.shape[1])
+    return float(diag.sum()) / total
 
 
-def rri_converged(history: Sequence, epsilon_s: float = 1e-3) -> bool:
+def rri_converged(history: Sequence[float], epsilon_s: float = 1e-3) -> bool:
     """True once the two most recent changes of the score are both below
-    ``epsilon_s``.  Needs at least three entries; accepts CorrelationScore
-    objects or bare floats.
+    ``epsilon_s``.  Needs at least three entries.
     """
     if len(history) < 3:
         return False
-    tail = [h.value if isinstance(h, CorrelationScore) else float(h) for h in history[-3:]]
-    return abs(tail[1] - tail[0]) < epsilon_s and abs(tail[2] - tail[1]) < epsilon_s
+    a, b, c = history[-3:]
+    return abs(b - a) < epsilon_s and abs(c - b) < epsilon_s

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, read_text
 from .linalg import as_matrix, pairwise_sq_dist
 
 SPLIT_TRAIN = "train"
@@ -176,6 +176,8 @@ def generate_synthetic(
         raise ValidationError(f"feature dimension must be >= 1, got {dim}")
     if noise < 0 or camera_scale < 0:
         raise ValidationError("noise and camera_scale must be non-negative")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     rank = max(1, dim // 2)
@@ -382,65 +384,49 @@ def save_dataset(dataset: RetrievalDataset, path) -> None:
 
 
 def load_dataset(path) -> RetrievalDataset:
-    """Read a dataset CSV.  A malformed header or row raises
-    ValidationError naming ``path`` (and ``path:lineno`` for a row)."""
-    with open(path, newline="") as fh:
-        text = fh.read()
+    """Read a dataset CSV.  CRLF or CR line ends and quoted fields are
+    accepted.  A file that is not UTF-8 text or has a malformed header
+    raises ValidationError naming ``path``; a malformed row names
+    ``path:lineno``."""
+    header, *body = read_text(path).split("\n")
+    if body and body[-1] == "":
+        body.pop()
+    d = header.count(",") - 2
+    if d < 1 or header.split(",") != ["id", "camera", "split"] + [f"f{j}" for j in range(d)]:
+        raise ValidationError(f"{path}: malformed header; expected id,camera,split,f0..f{{d-1}}")
+    if not body:
+        raise ValidationError(f"{path}: no rows after the header")
+    # loadtxt skips blank lines, so every line's field count is checked here
+    for lineno, line in enumerate(body, start=2):
+        if line.count(",") != d + 2:
+            raise ValidationError(f"{path}:{lineno}: expected {d + 3} fields, got {line.count(',') + 1}")
+    # every tag in SPLITS fits in 7 characters, so a longer tag cut to 8
+    # stays invalid
+    row = np.dtype([("id", np.int64), ("camera", np.int64), ("split", "U8"), ("f", np.float64, (d,))])
     try:
-        ids, cams, split, feats = _read_plain(text)
-    except ValueError:
-        # quoting, CR line ends or a field the plain reader rejects: parse
-        # row by row, which also names the first bad line
-        ids, cams, split, feats = _read_rows(path, text)
+        table = _parse_rows(body, row)
+    except ValueError as exc:
+        # parse line by line only to name the first line that fails alone;
+        # numpy's "at row N" would count within that one line, so it is cut
+        where, error = path, exc
+        for lineno, line in enumerate(body, start=2):
+            try:
+                _parse_rows([line], row)
+            except ValueError as line_exc:
+                where, error = f"{path}:{lineno}", line_exc
+                break
+        raise ValidationError(f"{where}: {str(error).split(' at row ')[0]}") from None
     dataset = RetrievalDataset(
-        features=np.asarray(feats, dtype=np.float64),
-        ids=np.asarray(ids, dtype=np.int64),
-        cameras=np.asarray(cams, dtype=np.int64),
-        split=np.asarray(split),
+        features=np.ascontiguousarray(table["f"]),
+        ids=np.ascontiguousarray(table["id"]),
+        cameras=np.ascontiguousarray(table["camera"]),
+        split=np.ascontiguousarray(table["split"]),
     )
     return dataset.validate()
 
 
-def _read_plain(text: str):
-    """Columns of a dataset CSV in the unquoted layout ``save_dataset``
-    writes, features parsed by ``np.loadtxt`` (the same doubles as
-    ``float``); ValueError for anything else."""
-    if '"' in text or "\r" in text or "\0" in text:
-        raise ValueError("not plain CSV")
-    header, *body = text.split("\n")
-    if body and body[-1] == "":
-        body.pop()
-    d = header.count(",") - 2
-    if not body or d < 1 or header.split(",") != ["id", "camera", "split"] + [f"f{j}" for j in range(d)]:
-        raise ValueError("malformed header or no rows")
-    if any(line.count(",") != d + 2 for line in body):
-        raise ValueError("wrong field count")
-    ids, cams, split = zip(*(line.split(",", 3)[:3] for line in body))
-    feats = np.loadtxt(body, delimiter=",", usecols=range(3, d + 3), dtype=np.float64, comments=None, ndmin=2)
-    return list(map(int, ids)), list(map(int, cams)), split, feats
-
-
-def _read_rows(path, text: str):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty dataset file") from None
-    d = len(header) - 3
-    if d < 1 or header[:3] != ["id", "camera", "split"] or header[3:] != [f"f{j}" for j in range(d)]:
-        raise ValidationError(f"{path}: malformed header; expected id,camera,split,f0..f{{d-1}}")
-    ids, cams, split, feats = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != d + 3:
-            raise ValidationError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
-        try:
-            ids.append(int(row[0]))
-            cams.append(int(row[1]))
-            feats.append([float(v) for v in row[3:]])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        split.append(row[2])
-    return ids, cams, split, feats
+def _parse_rows(lines: list[str], row: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
 def write_report(report: RankingReport, path) -> None:

@@ -60,16 +60,6 @@ class EigenModel:
         return self.backbone[0].weight.shape[0] if self.backbone else self.eigenlayer.shape[0]
 
     @property
-    def feature_dim(self) -> int:
-        """Width n of the eigenlayer input."""
-        return self.eigenlayer.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        """Width k of the eigenlayer output."""
-        return self.eigenlayer.shape[1]
-
-    @property
     def num_classes(self) -> int:
         return self.classifier.weight.shape[1]
 

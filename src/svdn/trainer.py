@@ -175,7 +175,7 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
             if not log:
                 continue
             rank1, mean_ap = evaluate_model(model, data, feature)
-            records.append(PhaseRecord(rri_index, name, s_of_w(model.eigenlayer).value, model.loss(X, y), rank1, mean_ap))
+            records.append(PhaseRecord(rri_index, name, s_of_w(model.eigenlayer), model.loss(X, y), rank1, mean_ap))
             if out_dir is not None:
                 save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
         return records

@@ -62,6 +62,12 @@ class TestGen:
         assert rc == 2
         assert "identities" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["gen", "--out", str(tmp_path), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
 
 class TestTrain:
     def test_artifacts_written(self, trained):
@@ -131,6 +137,22 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, com
     }[command]
     assert main(argv) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_utf8_input_file_exits_2_naming_it(tmp_path, config_path, dataset_path, trained, capsys, command):
+    bad = tmp_path / f"bad_{command}.input"
+    source = dataset_path if command == "eval" else config_path
+    bad.write_bytes(b"\xff" + source.read_bytes())
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["eval", "--config", str(config_path), "--out", out, "--ckpt", str(trained / "ckpt_final.svdn"),
+                 "--dataset", str(bad)],
+        "train": ["train", "--config", str(bad), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 class TestEval:

@@ -347,6 +347,8 @@ class TestGenerator:
             generate_synthetic(samples_per_id_camera=1)
         with pytest.raises(ValidationError):
             generate_synthetic(noise=-0.1)
+        with pytest.raises(ValidationError, match="seed"):
+            generate_synthetic(seed=-1)
 
     def test_cross_camera_invariant_enforced_by_validate(self):
         ds = small_dataset(seed=7)
@@ -411,9 +413,11 @@ class TestCsvRoundTrips:
 
     def test_bad_split_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,camera,split,f0\n1,0,holdout,0.5\n")
-        with pytest.raises(ValidationError):
-            load_dataset(path)
+        # a tag longer than any valid one must not be cut down to a valid one
+        for tag in ("holdout", "gallery-2"):
+            path.write_text(f"id,camera,split,f0\n1,0,{tag},0.5\n")
+            with pytest.raises(ValidationError):
+                load_dataset(path)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), d=st.integers(1, 5), n=st.integers(1, 8))
@@ -442,8 +446,18 @@ class TestCsvRoundTrips:
             lambda fields: fields[:3] + ["abc"] + fields[4:],
             lambda fields: ["x"] + fields[1:],
             lambda fields: [],
+            lambda fields: ["99999999999999999999"] + fields[1:],
+            lambda fields: fields[:3] + [fields[3][:4] + "_" + fields[3][4:]] + fields[4:],
         ],
-        ids=["field_missing", "field_extra", "non_numeric_feature", "non_numeric_id", "blank_line"],
+        ids=[
+            "field_missing",
+            "field_extra",
+            "non_numeric_feature",
+            "non_numeric_id",
+            "blank_line",
+            "id_out_of_int64",
+            "underscore_in_feature",
+        ],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, mutate):
         path = tmp_path / "ds.csv"

@@ -81,8 +81,8 @@ class TestForward:
     def test_eigenlayer_linearity(self):
         model = tiny_model(seed=7)
         rng = np.random.default_rng(8)
-        h1 = rng.normal(size=(4, model.feature_dim))
-        h2 = rng.normal(size=(4, model.feature_dim))
+        h1 = rng.normal(size=(4, model.eigenlayer.shape[0]))
+        h2 = rng.normal(size=(4, model.eigenlayer.shape[0]))
         a, b = 0.37, -1.2
         lhs = (a * h1 + b * h2) @ model.eigenlayer
         rhs = a * (h1 @ model.eigenlayer) + b * (h2 @ model.eigenlayer)

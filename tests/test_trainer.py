@@ -158,7 +158,7 @@ class TestRunRri:
         w_before = model.eigenlayer.copy()
         model, trace = run_rri(model, small_data, sched, method=DecorrMethod.ORIG)
         decorr = [r for r in trace.records if r.phase == PHASE_DECORRELATE]
-        assert decorr[0].s_of_w == s_of_w(w_before).value
+        assert decorr[0].s_of_w == s_of_w(w_before)
 
     def test_non_convergence_is_flagged_not_raised(self, small_data):
         model = small_model(small_data)
