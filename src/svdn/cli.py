@@ -139,30 +139,38 @@ def cmd_eval(args, out, cfg, data) -> None:
     print(format_report(report), end="")
 
 
-def _collect_checkpoints(paths: list[str]) -> list[Path]:
+def _collect_checkpoints(paths: list[str]) -> list[tuple[Path, str, str]]:
+    """Each checkpoint with the RRI index and phase parsed from its name
+    ("" for a name without them), in training order, named ones first.
+    A directory contributes its ``ckpt_*.svdn`` files and must hold one."""
     found: list[Path] = []
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            found.extend(sorted(path.glob("ckpt_*.svdn")))
+            in_dir = sorted(path.glob("ckpt_*.svdn"))
+            if not in_dir:
+                raise ValidationError(f"no ckpt_*.svdn checkpoint in directory {p}")
+            found.extend(in_dir)
         else:
             found.append(path)
-    def sort_key(path: Path):
+    named = []
+    for path in found:
         m = _CKPT_NAME.search(path.name)
-        if m:
-            return (0, int(m.group(1)), _PHASE_ORDER.get(m.group(2), 9), path.name)
+        named.append((path, *m.groups()) if m else (path, "", ""))
+
+    def sort_key(item):
+        path, rri_index, phase = item
+        if rri_index:
+            return (0, int(rri_index), _PHASE_ORDER.get(phase, 9), path.name)
         return (1, 0, 0, path.name)
-    return sorted(found, key=sort_key)
+    return sorted(named, key=sort_key)
 
 
 def cmd_diagnose(args, out, cfg, data) -> None:
     rows = []
-    for path in _collect_checkpoints(args.checkpoints):
+    for path, rri_index, phase in _collect_checkpoints(args.checkpoints):
         model = load_checkpoint(path)
         score = s_of_w(model.eigenlayer)
-        m = _CKPT_NAME.search(path.name)
-        rri_index = m.group(1) if m else ""
-        phase = m.group(2) if m else ""
         rank1 = mean_ap = ""
         if data is not None:
             r1, ap = evaluate_model(model, data, cfg.feature)
@@ -261,7 +269,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SvdnError as exc:

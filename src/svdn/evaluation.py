@@ -97,15 +97,9 @@ class RetrievalDataset:
         bad = set(np.unique(self.split)) - set(SPLITS)
         if bad:
             raise ValidationError(f"unknown split tags {sorted(bad)}; expected one of {SPLITS}")
-        # a query passes when its identity has more gallery rows than its
-        # (identity, camera) cell; both counted over dense codes shared by
-        # gallery and queries
         q_ids, q_cams = self.query_ids, self.query_cameras
-        n_gallery = self.gallery_ids.shape[0]
-        _, id_code = np.unique(np.concatenate([self.gallery_ids, q_ids]), return_inverse=True)
-        cams, cam_code = np.unique(np.concatenate([self.gallery_cameras, q_cams]), return_inverse=True)
-        cell_code = id_code * cams.size + cam_code
-        bad = _gallery_count(id_code, n_gallery) <= _gallery_count(cell_code, n_gallery)
+        pair_q, _, is_junk = _id_pairs(self)
+        bad = np.bincount(pair_q[~is_junk], minlength=q_ids.shape[0]) == 0
         if bad.any():
             qi = int(np.argmax(bad))
             raise ValidationError(
@@ -114,12 +108,18 @@ class RetrievalDataset:
         return self
 
 
-def _gallery_count(codes: np.ndarray, n_gallery: int) -> np.ndarray:
-    """For each code after the first ``n_gallery``, how many of the first
-    ``n_gallery`` codes equal it."""
-    gallery = np.sort(codes[:n_gallery])
-    queries = codes[n_gallery:]
-    return np.searchsorted(gallery, queries, side="right") - np.searchsorted(gallery, queries, side="left")
+def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (query, gallery row) pair sharing an identity, query-major
+    with ascending gallery index within a query, and whether each pair is
+    junk: the gallery row also has the query's camera."""
+    q_ids, g_ids = dataset.query_ids, dataset.gallery_ids
+    by_id = np.argsort(g_ids, kind="stable")
+    lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
+    sizes = np.searchsorted(g_ids[by_id], q_ids, side="right") - lo
+    pair_q = np.repeat(np.arange(q_ids.shape[0]), sizes)
+    first_pair = np.cumsum(sizes) - sizes
+    pair_g = by_id[np.repeat(lo - first_pair, sizes) + np.arange(pair_q.size)]
+    return pair_q, pair_g, dataset.gallery_cameras[pair_g] == dataset.query_cameras[pair_q]
 
 
 @dataclass
@@ -235,38 +235,27 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     """The report of ``evaluate`` from consecutive blocks of per-query
     ordering keys (one row per query, one column per gallery row).
 
-    A positive's 0-based rank in its query's junk-filtered list is the
-    number of non-junk rows before it, where rows are ordered by key and
-    equal keys by gallery index.  Each row sorts only the keys at or below
-    its worst positive's key; ``searchsorted`` then gives the rows strictly
+    Each block's junk entries are overwritten with NaN, which no ``<=``,
+    ``==`` or sort comparison counts; callers pass blocks they do not reuse.
+    A positive's 0-based rank in its query's junk-filtered list is then
+    the number of rows before it, where rows are ordered by key and equal
+    keys by gallery index.  Each row sorts only the keys at or below its
+    worst positive's key; ``searchsorted`` then gives the rows strictly
     before every positive and flags exact ties, the only case that needs
-    an explicit count of lower-index equal rows.  Junk rows before a
-    positive are subtracted with one compare per block."""
-    q_ids, q_cams = dataset.query_ids, dataset.query_cameras
-    g_ids, g_cams = dataset.gallery_ids, dataset.gallery_cameras
-    n_query, n_gallery = q_ids.shape[0], g_ids.shape[0]
-    # (query, same-identity gallery row) pairs, query-major, ascending
-    # gallery index within a query
-    by_id = np.argsort(g_ids, kind="stable")
-    lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
-    sizes = np.searchsorted(g_ids[by_id], q_ids, side="right") - lo
-    pair_q = np.repeat(np.arange(n_query), sizes)
-    first_pair = np.cumsum(sizes) - sizes
-    pair_g = by_id[np.repeat(lo - first_pair, sizes) + np.arange(pair_q.size)]
-    is_junk = g_cams[pair_g] == q_cams[pair_q]
+    an explicit count of lower-index equal rows."""
+    n_query, n_gallery = dataset.query_ids.shape[0], dataset.gallery_ids.shape[0]
+    pair_q, pair_g, is_junk = _id_pairs(dataset)
     pos_q, pos_g = pair_q[~is_junk], pair_g[~is_junk]
+    junk_q, junk_g = pair_q[is_junk], pair_g[is_junk]
     n_pos = np.bincount(pos_q, minlength=n_query)
     pos_start = np.concatenate(([0], np.cumsum(n_pos)))
-    # junk rows padded to one row per query; the padding is masked out
-    n_junk = np.bincount(pair_q[is_junk], minlength=n_query)
-    junk_valid = np.arange(n_junk.max(initial=0)) < n_junk[:, None]
-    junk = np.zeros(junk_valid.shape, dtype=np.int64)
-    junk[junk_valid] = pair_g[is_junk]
 
     ranks = np.empty(pos_g.size, dtype=np.int64)
     start = 0
     for keys in key_blocks:
         stop = start + keys.shape[0]
+        junk = slice(*np.searchsorted(junk_q, (start, stop)))
+        keys[junk_q[junk] - start, junk_g[junk]] = np.nan
         block = slice(pos_start[start], pos_start[stop])
         rows, cols = pos_q[block] - start, pos_g[block]
         v = keys[rows, cols]
@@ -285,9 +274,6 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
             upto[a:b] = kept.searchsorted(vr, side="right")
         for t in np.flatnonzero(upto - below > 1).tolist():
             below[t] += np.count_nonzero(keys[rows[t], : cols[t]] == v[t])
-        jg, jv = junk[pos_q[block]], junk_valid[pos_q[block]]
-        jk, vv = keys[rows[:, None], jg], v[:, None]
-        below -= (((jk < vv) | ((jk == vv) & (jg < cols[:, None]))) & jv).sum(axis=1)
         ranks[block] = below
         start = stop
 
@@ -332,7 +318,8 @@ def evaluate(dataset: RetrievalDataset, ranked) -> RankingReport:
         raise ValidationError(f"ranked lists must hold integer gallery indices, got dtype {ranked.dtype}")
     # range first: a scatter would silently wrap a negative index
     bad = ((ranked < 0) | (ranked >= n_gallery)).any(axis=1)
-    position = np.full((n_query, n_gallery), -1, dtype=np.int64)
+    # float so that _score can write NaN at junk; indices below 2**53 are exact
+    position = np.full((n_query, n_gallery), -1.0)
     if not bad.any():
         np.put_along_axis(position, ranked, np.arange(n_gallery), axis=1)
         bad = (position < 0).any(axis=1)

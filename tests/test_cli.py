@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svdn.cli import main
 from svdn.config import CONFIG_KEYS, RunConfig
@@ -125,6 +127,16 @@ class TestTrain:
         assert err.startswith("error:") and "seed" in err
         assert list(out.glob("ckpt_*.svdn")) == []
 
+    # 10**14 columns of float64 exceed any address space, so the
+    # allocation fails at once; never test a width the machine could hold
+    @pytest.mark.parametrize("flag", ["--hidden-dims", "--eigen-dim"])
+    def test_unallocatable_width_exits_2(self, tmp_path, config_path, capsys, flag):
+        out = tmp_path / "huge"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), flag, "100000000000000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(out.glob("ckpt_*.svdn")) == []
+
 
 @pytest.mark.parametrize("command", ["eval", "train", "diagnose"])
 def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, command):
@@ -218,6 +230,15 @@ class TestDiagnose:
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert lines[1].endswith(",,")
 
+    def test_directory_without_checkpoints_exits_2_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "diag3"
+        assert main(["diagnose", "--out", str(out), str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(empty) in err
+        assert not (out / "diagnose.csv").exists()
+
 
 class TestCompare:
     def test_table_and_csv(self, tmp_path, config_path, capsys):
@@ -298,6 +319,30 @@ class TestConfigKeyParity:
         for source in (["--config", str(cfg)], ["--" + key.replace("_", "-"), "x"]):
             assert main(["diagnose", "--out", str(tmp_path / "out"), ckpt, *source]) == 2
             assert f"'{key}'" in capsys.readouterr().err
+
+
+# any text but NUL, newline and surrogates; numbers reach the range checks
+CONFIG_VALUES = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00\n"), max_size=20),
+    st.integers().map(str),
+    st.floats().map(str),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(CONFIG_KEYS), value=CONFIG_VALUES)
+def test_any_config_value_exits_0_or_2(tmp_path, trained, monkeypatch, key, value):
+    """Diagnose parses and validates every key but never trains."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "any.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    ckpt = str(trained / "ckpt_rri0_step0.svdn")
+    for source in (["--config", str(cfg)], [f"--{key.replace('_', '-')}={value}"]):
+        try:
+            rc = main(["diagnose", "--out", str(tmp_path / "out"), ckpt, *source])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc in (0, 2), (source, rc)
 
 
 def test_version_flag(capsys):

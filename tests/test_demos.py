@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_weight_replacement.py", "02_orthogonality_score.py"])
+@pytest.mark.parametrize("demo", ["01_weight_replacement.py", "02_orthogonality_score.py", "03_restraint_relaxation_training.py"])
 def test_demo_exits_0(demo):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
