@@ -147,30 +147,64 @@ class EigenModel:
         are exactly what the unfrozen call produces."""
         batch = self._check_batch(batch)
         labels = self._check_labels(labels, batch.shape[0])
-        pre_acts, acts, h, f, logits = self._forward_full(batch)
-        loss, probs = _cross_entropy(logits, labels)
-
-        m = batch.shape[0]
-        dlogits = probs
-        dlogits[np.arange(m), labels] -= 1.0
-        dlogits /= m
-
-        grads: dict[str, np.ndarray] = {}
-        grads["classifier.weight"] = f.T @ dlogits
-        grads["classifier.bias"] = dlogits.sum(axis=0)
-        df = dlogits @ self.classifier.weight.T
-        if mask.eigenlayer_frozen:
-            grads["eigenlayer"] = np.zeros_like(self.eigenlayer)
-        else:
-            grads["eigenlayer"] = h.T @ df
-        da = df @ self.eigenlayer.T
-        for i in range(len(self.backbone) - 1, -1, -1):
-            dz = da * (pre_acts[i] > 0.0)
-            grads[f"backbone{i}.weight"] = acts[i].T @ dz
-            grads[f"backbone{i}.bias"] = dz.sum(axis=0)
-            if i > 0:
-                da = dz @ self.backbone[i].weight.T
+        grads = {name: np.zeros_like(p) for name, p in self.param_items()}
+        loss = _grads_into(self, batch, labels, mask.eigenlayer_frozen, list(grads.values()))
         return loss, grads
+
+
+def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen: bool, gviews) -> float:
+    """The one gradient kernel: return the batch's mean cross-entropy and
+    write every parameter's exact gradient into ``gviews`` (arrays shaped
+    and ordered like :meth:`EigenModel.param_items`).  ``batch`` and
+    ``labels`` must already have passed the model's checks.  With
+    ``frozen`` the eigenlayer slot is left as it is, so a zeroed slot
+    stays zero."""
+    pre_acts, acts, h, f, logits = model._forward_full(batch)
+    loss, dlogits = _cross_entropy(logits, labels)
+    m = batch.shape[0]
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits /= m
+
+    *g_backbone, g_eigen, g_cls_weight, g_cls_bias = gviews
+    np.matmul(f.T, dlogits, out=g_cls_weight)
+    np.add.reduce(dlogits, axis=0, out=g_cls_bias)
+    df = dlogits @ model.classifier.weight.T
+    if not frozen:
+        np.matmul(h.T, df, out=g_eigen)
+    da = df @ model.eigenlayer.T
+    for i in range(len(model.backbone) - 1, -1, -1):
+        np.multiply(da, pre_acts[i] > 0.0, out=da)  # ReLU backward: da becomes dz
+        np.matmul(acts[i].T, da, out=g_backbone[2 * i])
+        np.add.reduce(da, axis=0, out=g_backbone[2 * i + 1])
+        if i > 0:
+            da = da @ model.backbone[i].weight.T
+    return loss
+
+
+def _flatten(model: EigenModel) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Copy every parameter bit for bit into one float64 vector ``buf`` and
+    rebind the model's arrays as views into it, in :meth:`EigenModel.param_items`
+    order.  Returns ``buf``, a zeroed gradient vector ``gbuf`` with the same
+    layout, and ``gbuf``'s per-parameter views, so that one update of
+    ``buf`` from ``gbuf`` moves every parameter at once."""
+    params = [p for _, p in model.param_items()]
+    buf = np.concatenate([p.ravel() for p in params], dtype=np.float64)
+    gbuf = np.zeros_like(buf)
+    it = iter(_split(buf, params))
+    for layer in model.backbone:
+        layer.weight, layer.bias = next(it), next(it)
+    model.eigenlayer = next(it)
+    model.classifier.weight, model.classifier.bias = next(it), next(it)
+    return buf, gbuf, _split(gbuf, params)
+
+
+def _split(flat: np.ndarray, like) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped like the arrays in ``like``."""
+    views, off = [], 0
+    for p in like:
+        views.append(flat[off : off + p.size].reshape(p.shape))
+        off += p.size
+    return views
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -21,6 +21,7 @@ quality, and (given an output directory) writes a checkpoint.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,7 +32,8 @@ from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError
 from .evaluation import RetrievalDataset, evaluate_features
-from .network import EigenModel, FreezeMask, build_model, save_checkpoint, sgd_step
+from .network import EigenModel, _flatten, _grads_into, build_model, save_checkpoint
+from .network import sgd_step  # noqa: F401  -- not called here; perfbench/tracer.py patches svdn.trainer.sgd_step
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -64,6 +66,8 @@ class RriSchedule:
             if f.name != "seed" and not value > 0:
                 bound = ">= 1" if isinstance(f.default, int) else "> 0"
                 raise ValidationError(f"schedule field {f.name} must be {bound}, got {value}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"schedule field {f.name} must be finite, got {value}")
         if self.seed < 0:
             raise ValidationError(f"schedule field seed must be >= 0, got {self.seed}")
         return self
@@ -153,25 +157,37 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     n, k = model.eigenlayer.shape
     if n < k:
         raise ValidationError(f"eigenlayer must be tall for decorrelation, got {n}x{k}")
+    X = model._check_batch(X)
+    y = model._check_labels(y, X.shape[0])
+    rows = y.shape[0]
     rng = np.random.default_rng([schedule.seed, stream])
 
     def run_phases(phases: list[tuple], rri_index: int, out_dir=None, log: bool = True) -> list[PhaseRecord]:
         """Run ``phases`` in order: replace, train, then (with ``log``)
-        record each and write its checkpoint into ``out_dir``, if given."""
+        record each and write its checkpoint into ``out_dir``, if given.
+        A training phase moves the parameters into one flat buffer and
+        takes each SGD step as one kernel call and one update of it."""
         records = []
         for name, method, epochs, lr, frozen in phases:
             if method is not None:
-                model.eigenlayer = decorrelate.apply(model.eigenlayer, method)
-            mask = FreezeMask(eigenlayer_frozen=frozen)
+                # in place: rebinding would keep the old weights alive in the flat buffer
+                model.eigenlayer[...] = decorrelate.apply(model.eigenlayer, method)
+            if epochs:
+                buf, gbuf, gviews = _flatten(model)
             for epoch in range(epochs):
-                order = rng.permutation(y.shape[0])
-                for start in range(0, y.shape[0], schedule.batch_size):
-                    idx = order[start : start + schedule.batch_size]
-                    loss, grads = model.loss_and_grads(X[idx], y[idx], mask)
-                    if not np.isfinite(loss):
+                order = rng.permutation(rows)
+                X_epoch, y_epoch = X[order], y[order]
+                for start in range(0, rows, schedule.batch_size):
+                    stop = start + schedule.batch_size
+                    loss = _grads_into(model, X_epoch[start:stop], y_epoch[start:stop], frozen, gviews)
+                    if not math.isfinite(loss):
                         raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
-                    sgd_step(model, grads, lr)
-            grads = None  # free the last step's gradients before scoring: they would raise the peak RSS
+                    if not np.isfinite(gbuf).all():
+                        bad = next(pname for (pname, _), g in zip(model.param_items(), gviews) if not np.isfinite(g).all())
+                        raise NumericError(f"training diverged: non-finite gradient for parameter {bad} at epoch {epoch}")
+                    gbuf *= lr  # in place: no step allocates a parameter-sized temporary
+                    buf -= gbuf
+            gbuf = gviews = X_epoch = y_epoch = None  # free before scoring: they would raise the peak RSS
             if not log:
                 continue
             rank1, mean_ap = evaluate_model(model, data, feature)

@@ -127,6 +127,15 @@ class TestTrain:
         assert err.startswith("error:") and "seed" in err
         assert list(out.glob("ckpt_*.svdn")) == []
 
+    @pytest.mark.parametrize("flag", ["--lr-step0", "--lr-restraint", "--epsilon-s"])
+    def test_infinite_schedule_value_exits_2_before_training(self, tmp_path, config_path, capsys, flag):
+        out = tmp_path / "inf"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), flag, "inf"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err and "finite" in err
+        assert list(out.glob("ckpt_*.svdn")) == []
+
     # 10**14 columns of float64 exceed any address space, so the
     # allocation fails at once; never test a width the machine could hold
     @pytest.mark.parametrize("flag", ["--hidden-dims", "--eigen-dim"])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from svdn import decorrelate
 from svdn.decorrelate import DecorrMethod
 from svdn.diagnostics import s_of_w
 from svdn.errors import NumericError, ValidationError
 from svdn.evaluation import generate_synthetic
-from svdn.network import build_model, load_checkpoint, sgd_step
+from svdn.network import FreezeMask, _grads_into, build_model, load_checkpoint, sgd_step
 from svdn.trainer import (
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
@@ -60,6 +61,12 @@ class TestSchedule:
     def test_non_positive_lr_rejected(self):
         with pytest.raises(ValidationError, match="lr_relaxation"):
             RriSchedule(lr_relaxation=0.0).validate()
+
+    @pytest.mark.parametrize("name", ["lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            RriSchedule(**{name: value}).validate()
 
 
 class TestStep0:
@@ -190,6 +197,81 @@ class TestRunRri:
             assert np.array_equal(a, b)
 
 
+def reference_phase(model, X, y, rng, epochs, lr, frozen, batch_size):
+    """The step loop written with the public API: one ``loss_and_grads``
+    and one ``sgd_step`` per batch, batches drawn as the trainer draws
+    them."""
+    for _ in range(epochs):
+        order = rng.permutation(y.shape[0])
+        for start in range(0, y.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            _, grads = model.loss_and_grads(X[idx], y[idx], FreezeMask(eigenlayer_frozen=frozen))
+            sgd_step(model, grads, lr)
+
+
+def assert_same_params(a, b):
+    for (name, pa), (_, pb) in zip(a.param_items(), b.param_items()):
+        assert np.array_equal(pa, pb), name
+
+
+class TestFusedStep:
+    def test_matches_public_api_loop_bit_for_bit(self, small_data):
+        sched = small_schedule(max_rri=1, batch_size=7)
+        X, y, _ = training_arrays(small_data)
+        assert y.shape[0] % sched.batch_size != 0  # every epoch ends on a short batch
+        model = small_model(small_data)
+        ref = model.copy()
+
+        train_step0(model, small_data, sched)
+        after_step0 = model.copy()
+        _, trace = run_rri(model, small_data, sched)
+        assert trace.records[-1].rri_index == 1
+
+        rng = np.random.default_rng([sched.seed, 0])
+        reference_phase(ref, X, y, rng, sched.step0_epochs, sched.lr_step0, False, sched.batch_size)
+        assert_same_params(after_step0, ref)
+        rng = np.random.default_rng([sched.seed, 1])
+        ref.eigenlayer = decorrelate.apply(ref.eigenlayer, DecorrMethod.US)
+        reference_phase(ref, X, y, rng, sched.restraint_epochs, sched.lr_restraint, True, sched.batch_size)
+        reference_phase(ref, X, y, rng, sched.relaxation_epochs, sched.lr_relaxation, False, sched.batch_size)
+        assert_same_params(model, ref)
+
+    def test_non_finite_gradient_mid_phase_changes_nothing(self, small_data, monkeypatch):
+        sched = small_schedule(max_rri=1)
+        model, _ = train_step0(small_model(small_data), small_data, sched)
+        per_epoch = -(-training_arrays(small_data)[1].shape[0] // sched.batch_size)
+        bad_call = per_epoch + 2  # second step of the restraint phase's second epoch
+        calls, before = [], {}
+
+        def poisoned(model_, batch, labels, frozen, gviews):
+            calls.append(frozen)
+            if len(calls) == bad_call:
+                before.update((name, p.copy()) for name, p in model_.param_items())
+            loss = _grads_into(model_, batch, labels, frozen, gviews)
+            if len(calls) == bad_call:
+                gviews[-1][0] = np.nan  # the last parameter: an update in parameter order would have moved all others
+            return loss
+
+        monkeypatch.setattr("svdn.trainer._grads_into", poisoned)
+        with pytest.raises(NumericError, match="classifier.bias"):
+            run_rri(model, small_data, sched)
+        assert calls == [True] * bad_call
+        for name, p in model.param_items():
+            assert np.array_equal(p, before[name]), name
+
+    def test_input_width_mismatch_rejected_before_any_step(self, small_data, monkeypatch):
+        _, _, c = training_arrays(small_data)
+        calls = []
+        monkeypatch.setattr("svdn.trainer._grads_into", lambda *args: calls.append(args))
+        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
+            model = build_model(small_data.dim + 1, (16, 12), 6, c, seed=0)
+            before = model.copy()
+            with pytest.raises(ValidationError, match="features"):
+                entry(model, small_data, small_schedule())
+            assert_same_params(before, model)
+        assert calls == []
+
+
 class TestFeatureChoice:
     def test_input_and_output_features_similar_quality(self):
         # on the default benchmark a converged model retrieves about as well
@@ -236,9 +318,9 @@ class TestBaselineAndComparison:
 
         def counting_step(*args, **kwargs):
             steps[-1] += 1
-            return sgd_step(*args, **kwargs)
+            return _grads_into(*args, **kwargs)
 
-        monkeypatch.setattr("svdn.trainer.sgd_step", counting_step)
+        monkeypatch.setattr("svdn.trainer._grads_into", counting_step)
         steps.append(0)
         _, trace = run_rri(model.copy(), small_data, sched)
         steps.append(0)
