@@ -25,7 +25,7 @@ from .evaluation import (
     save_dataset,
 )
 from .linalg import SvdFactors, pairwise_sq_dist, qr, svd
-from .network import EigenModel, FreezeMask, build_model, load_checkpoint, save_checkpoint, sgd_step
+from .network import EigenModel, build_model, load_checkpoint, save_checkpoint
 from .trainer import (
     ComparisonRow,
     PhaseRecord,
@@ -53,9 +53,7 @@ __all__ = [
     "s_of_w",
     "rri_converged",
     "EigenModel",
-    "FreezeMask",
     "build_model",
-    "sgd_step",
     "save_checkpoint",
     "load_checkpoint",
     "RetrievalDataset",

@@ -182,7 +182,7 @@ def cmd_diagnose(args, out, cfg, data) -> None:
 
 
 def cmd_compare(args, out, cfg, data) -> None:
-    methods = [DecorrMethod.from_name(name) for name in args.methods.split(",")] if args.methods else None
+    methods = [DecorrMethod.from_name(name) for name in args.methods.split(",")] if args.methods is not None else None
     rows = run_decorr_comparison(
         data, cfg.schedule, methods=methods, hidden_dims=cfg.hidden_dims, eigen_dim=cfg.eigen_dim, feature=cfg.feature
     )

@@ -36,7 +36,7 @@ def s_of_w(w) -> float:
     return float(diag.sum()) / total
 
 
-def rri_converged(history: Sequence[float], epsilon_s: float = 1e-3) -> bool:
+def rri_converged(history: Sequence[float], epsilon_s: float) -> bool:
     """True once the two most recent changes of the score are both below
     ``epsilon_s``.  Needs at least three entries.
     """

@@ -373,8 +373,8 @@ def save_dataset(dataset: RetrievalDataset, path) -> None:
 def load_dataset(path) -> RetrievalDataset:
     """Read a dataset CSV.  CRLF or CR line ends and quoted fields are
     accepted.  A file that is not UTF-8 text or has a malformed header
-    raises ValidationError naming ``path``; a malformed row names
-    ``path:lineno``."""
+    raises ValidationError naming ``path``; a malformed row, a NaN or
+    infinite feature included, names ``path:lineno``."""
     header, *body = read_text(path).split("\n")
     if body and body[-1] == "":
         body.pop()
@@ -403,6 +403,9 @@ def load_dataset(path) -> RetrievalDataset:
                 where, error = f"{path}:{lineno}", line_exc
                 break
         raise ValidationError(f"{where}: {str(error).split(' at row ')[0]}") from None
+    finite = np.isfinite(table["f"]).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
     dataset = RetrievalDataset(
         features=np.ascontiguousarray(table["f"]),
         ids=np.ascontiguousarray(table["id"]),

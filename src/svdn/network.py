@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .linalg import as_matrix
 
 CHECKPOINT_MAGIC = b"SVDN"
@@ -39,14 +39,6 @@ class AffineLayer:
 
     def copy(self) -> "AffineLayer":
         return AffineLayer(self.weight.copy(), self.bias.copy())
-
-
-@dataclass(frozen=True)
-class FreezeMask:
-    """When set, the gradient of the eigenlayer weights is forced to zero
-    so an update leaves them untouched while everything else trains."""
-
-    eigenlayer_frozen: bool = False
 
 
 @dataclass
@@ -140,15 +132,15 @@ class EigenModel:
         _, _, _, _, logits = self._forward_full(batch)
         return _cross_entropy(logits, labels)[0]
 
-    def loss_and_grads(self, batch, labels, mask: FreezeMask = FreezeMask()):
+    def loss_and_grads(self, batch, labels, frozen: bool = False):
         """Mean softmax cross-entropy and exact gradients for every
-        parameter, keyed like :meth:`param_items`.  With a frozen mask the
+        parameter, keyed like :meth:`param_items`.  With ``frozen`` the
         eigenlayer gradient is identically zero and all other gradients
         are exactly what the unfrozen call produces."""
         batch = self._check_batch(batch)
         labels = self._check_labels(labels, batch.shape[0])
         grads = {name: np.zeros_like(p) for name, p in self.param_items()}
-        loss = _grads_into(self, batch, labels, mask.eigenlayer_frozen, list(grads.values()))
+        loss = _grads_into(self, batch, labels, frozen, list(grads.values()))
         return loss, grads
 
 
@@ -242,24 +234,6 @@ def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, s
     eigenlayer = rng.uniform(-eigen_bound, eigen_bound, size=(n, int(eigen_dim)))
     classifier = affine(int(eigen_dim), int(num_classes))
     return EigenModel(backbone=backbone, eigenlayer=eigenlayer, classifier=classifier)
-
-
-def sgd_step(model: EigenModel, grads: dict, lr: float) -> EigenModel:
-    """In-place update ``p <- p - lr * g`` for every parameter; returns the
-    model.  Rejects negative rates, misshapen and non-finite gradients
-    before touching any parameter, so a rejected step changes nothing."""
-    if lr < 0:
-        raise ValidationError(f"learning rate must be non-negative, got {lr}")
-    params = model.param_items()
-    for name, p in params:
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValidationError(f"gradient for {name} has shape {g.shape}, expected {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-    for name, p in params:
-        p -= lr * grads[name]
-    return model
 
 
 # Checkpoint wire format, all integers little-endian:

@@ -33,7 +33,6 @@ from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError
 from .evaluation import RetrievalDataset, evaluate_features
 from .network import EigenModel, _flatten, _grads_into, build_model, save_checkpoint
-from .network import sgd_step  # noqa: F401  -- not called here; perfbench/tracer.py patches svdn.trainer.sgd_step
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -152,6 +151,8 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     order: 0 for step 0, 1 for the iterations (RRI and its control alike)."""
     schedule.validate()
     X, y, c = training_arrays(data)
+    if data.query_ids.size == 0:
+        raise ValidationError("dataset has an empty query split; every phase boundary scores retrieval")
     if model.num_classes != c:
         raise ValidationError(f"model has {model.num_classes} classes but the dataset has {c} training identities")
     n, k = model.eigenlayer.shape

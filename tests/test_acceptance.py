@@ -19,7 +19,7 @@ from svdn.decorrelate import DecorrMethod, apply, distance_preservation_gap
 from svdn.diagnostics import s_of_w
 from svdn.evaluation import RetrievalDataset, evaluate, generate_synthetic
 from svdn.linalg import pairwise_sq_dist
-from svdn.network import FreezeMask, build_model
+from svdn.network import build_model
 from svdn.trainer import (
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
@@ -166,7 +166,7 @@ def test_criterion_4_gradient_checks():
     fd = fd_gradients(model, batch, labels, step=1e-5)
     worst = 0.0
     for frozen in (False, True):
-        _, grads = model.loss_and_grads(batch, labels, FreezeMask(eigenlayer_frozen=frozen))
+        _, grads = model.loss_and_grads(batch, labels, frozen=frozen)
         for name, g in grads.items():
             if frozen and name == "eigenlayer":
                 assert np.all(g == 0.0)

@@ -119,6 +119,16 @@ class TestTrain:
         assert "tall" in capsys.readouterr().err
         assert list(out.glob("ckpt_*.svdn")) == []
 
+    def test_dataset_without_queries_exits_2_before_step0(self, tmp_path, config_path, dataset_path, capsys):
+        header, *rows = dataset_path.read_text().splitlines()
+        train_only = tmp_path / "train_only.csv"
+        train_only.write_text("\n".join([header] + [r for r in rows if r.split(",")[2] == "train"]) + "\n")
+        out = tmp_path / "noq"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), "--dataset", str(train_only)])
+        assert rc == 2
+        assert "query split" in capsys.readouterr().err
+        assert list(out.glob("ckpt_*.svdn")) == []
+
     def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
         out = tmp_path / "neg"
         rc = main(["train", "--config", str(config_path), "--out", str(out), "--seed", "-1"])
@@ -269,6 +279,14 @@ class TestCompare:
         assert rc == 2
         assert "XY" in capsys.readouterr().err
 
+    def test_empty_method_list_exits_2_naming_valid_methods(self, tmp_path, config_path, capsys):
+        rc = main([
+            "compare", "--config", str(config_path), "--out", str(tmp_path), "--methods", "", "--max-rri", "1",
+        ])
+        assert rc == 2
+        assert "Orig, US, U, UVt, QD" in capsys.readouterr().err
+        assert not (tmp_path / "comparison.csv").exists()
+
 
 class TestSweepDim:
     def test_two_curve_csv(self, tmp_path, config_path):
@@ -359,3 +377,11 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "svdn" in capsys.readouterr().out
+
+
+def test_every_public_name_resolves():
+    import svdn
+
+    assert len(svdn.__all__) == len(set(svdn.__all__))
+    for name in svdn.__all__:
+        assert getattr(svdn, name) is not None, name

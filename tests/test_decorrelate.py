@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdn.decorrelate import DecorrMethod, apply, distance_preservation_gap
 from svdn.errors import DegeneracyError, ValidationError
@@ -90,6 +92,29 @@ class TestDistancePreservation:
         gap = distance_preservation_gap(w, apply(w, DecorrMethod.US), h)
         d = np.sqrt(loop_sq_dists(h @ w, h @ w))
         assert gap <= 1e-7 * (1 + d.max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(1, 40),
+        m=st.integers(2, 20),
+        w_scale=st.sampled_from([1e-3, 0.05, 1.0, 37.0, 1e3]),
+        h_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        near_duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_us_keeps_distances_on_random_tall_shapes(self, n, k, m, w_scale, h_scale, near_duplicates, seed):
+        """Criterion 1's bound, gap / (1 + largest distance) <= 1e-7, on
+        tall matrices whose leading columns may nearly repeat the first."""
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        w = w_scale * rng.normal(size=(n, k))
+        for j in range(1, min(near_duplicates + 1, k)):
+            w[:, j] = w[:, 0] + 1e-9 * w_scale * rng.normal(size=n)
+        h = h_scale * rng.normal(size=(m, n))
+        gap = distance_preservation_gap(w, apply(w, DecorrMethod.US), h)
+        d = np.sqrt(loop_sq_dists(h @ w, h @ w))
+        assert gap / (1.0 + d.max()) <= 1e-7
 
     def test_us_preserves_ranking(self):
         w = random_w(6, 4, seed=5)

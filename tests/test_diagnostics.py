@@ -66,10 +66,10 @@ class TestConvergence:
         assert not rri_converged([0.2, 0.5], epsilon_s=1e-3)
 
     def test_needs_three_entries(self):
-        assert not rri_converged([])
-        assert not rri_converged([0.9])
-        assert not rri_converged([0.9, 0.9])
-        assert rri_converged([0.9, 0.9, 0.9])
+        assert not rri_converged([], epsilon_s=1e-3)
+        assert not rri_converged([0.9], epsilon_s=1e-3)
+        assert not rri_converged([0.9, 0.9], epsilon_s=1e-3)
+        assert rri_converged([0.9, 0.9, 0.9], epsilon_s=1e-3)
 
     def test_strictly_below_threshold(self):
         # deltas exactly at epsilon must not fire

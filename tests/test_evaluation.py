@@ -448,6 +448,8 @@ class TestCsvRoundTrips:
             lambda fields: [],
             lambda fields: ["99999999999999999999"] + fields[1:],
             lambda fields: fields[:3] + [fields[3][:4] + "_" + fields[3][4:]] + fields[4:],
+            lambda fields: fields[:3] + ["nan"] + fields[4:],
+            lambda fields: fields[:-1] + ["-inf"],
         ],
         ids=[
             "field_missing",
@@ -457,6 +459,8 @@ class TestCsvRoundTrips:
             "blank_line",
             "id_out_of_int64",
             "underscore_in_feature",
+            "nan_feature",
+            "inf_feature",
         ],
     )
     def test_malformed_row_names_path_and_line(self, tmp_path, mutate):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from svdn.errors import NumericError, ValidationError
+from svdn.errors import ValidationError
 from svdn.network import (
     CHECKPOINT_MAGIC,
     AffineLayer,
     EigenModel,
-    FreezeMask,
     build_model,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
 )
 
 from oracles import fd_gradients, loop_forward
@@ -120,8 +118,8 @@ class TestLossAndGrads:
     def test_frozen_mask_zeroes_only_eigen_gradient(self):
         model = tiny_model(seed=13)
         batch, labels = tiny_batch(model, seed=14)
-        loss_u, grads_u = model.loss_and_grads(batch, labels, FreezeMask(eigenlayer_frozen=False))
-        loss_f, grads_f = model.loss_and_grads(batch, labels, FreezeMask(eigenlayer_frozen=True))
+        loss_u, grads_u = model.loss_and_grads(batch, labels, frozen=False)
+        loss_f, grads_f = model.loss_and_grads(batch, labels, frozen=True)
         assert loss_u == loss_f
         assert np.all(grads_f["eigenlayer"] == 0.0)
         assert np.any(grads_u["eigenlayer"] != 0.0)
@@ -132,7 +130,7 @@ class TestLossAndGrads:
     def test_frozen_gradients_match_finite_differences(self):
         model = tiny_model(seed=15)
         batch, labels = tiny_batch(model, seed=16)
-        _, grads = model.loss_and_grads(batch, labels, FreezeMask(eigenlayer_frozen=True))
+        _, grads = model.loss_and_grads(batch, labels, frozen=True)
         fd = fd_gradients(model, batch, labels, step=1e-5)
         for name, g in grads.items():
             if name == "eigenlayer":
@@ -141,56 +139,7 @@ class TestLossAndGrads:
                 assert np.abs(g - fd[name]).max() <= 1e-6 * (1 + np.abs(fd[name]).max()), name
 
 
-class TestSgdStep:
-    def test_zero_lr_leaves_model_unchanged(self):
-        model = tiny_model(seed=17)
-        before = {n: p.copy() for n, p in model.param_items()}
-        batch, labels = tiny_batch(model, seed=18)
-        _, grads = model.loss_and_grads(batch, labels)
-        sgd_step(model, grads, 0.0)
-        for n, p in model.param_items():
-            assert np.array_equal(p, before[n])
-
-    def test_single_parameter_update(self):
-        model = tiny_model(seed=19)
-        grads = {n: np.zeros_like(p) for n, p in model.param_items()}
-        grads["eigenlayer"][0, 0] = 2.0
-        before = model.eigenlayer[0, 0]
-        sgd_step(model, grads, 0.1)
-        assert abs(model.eigenlayer[0, 0] - (before - 0.2)) <= 1e-15
-
-    def test_rejects_non_finite_gradient(self):
-        model = tiny_model(seed=20)
-        grads = {n: np.zeros_like(p) for n, p in model.param_items()}
-        grads["classifier.bias"][0] = np.inf
-        with pytest.raises(NumericError):
-            sgd_step(model, grads, 0.1)
-
-    @pytest.mark.parametrize(
-        "bad_grad, error",
-        [
-            (lambda g: np.full_like(g, np.nan), NumericError),
-            (lambda g: np.zeros(g.shape + (1,)), ValidationError),
-        ],
-        ids=["nan", "wrong_shape"],
-    )
-    def test_bad_last_gradient_leaves_every_parameter_untouched(self, bad_grad, error):
-        model = tiny_model(seed=23)
-        before = {n: p.copy() for n, p in model.param_items()}
-        grads = {n: np.ones_like(p) for n, p in model.param_items()}
-        last = model.param_items()[-1][0]
-        grads[last] = bad_grad(grads[last])
-        with pytest.raises(error, match=last):
-            sgd_step(model, grads, 0.1)
-        for n, p in model.param_items():
-            assert np.array_equal(p, before[n]), n
-
-    def test_rejects_negative_lr(self):
-        model = tiny_model(seed=21)
-        grads = {n: np.zeros_like(p) for n, p in model.param_items()}
-        with pytest.raises(ValidationError):
-            sgd_step(model, grads, -0.1)
-
+class TestTraining:
     def test_training_reduces_loss_on_separable_toy(self):
         rng = np.random.default_rng(22)
         model = build_model(2, (8,), 4, 2, seed=22)
@@ -199,7 +148,8 @@ class TestSgdStep:
         start = model.loss(batch, labels)
         for _ in range(50):
             _, grads = model.loss_and_grads(batch, labels)
-            sgd_step(model, grads, 0.1)
+            for name, p in model.param_items():
+                p -= 0.1 * grads[name]
         assert model.loss(batch, labels) < start
 
 

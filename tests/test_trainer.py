@@ -5,8 +5,8 @@ from svdn import decorrelate
 from svdn.decorrelate import DecorrMethod
 from svdn.diagnostics import s_of_w
 from svdn.errors import NumericError, ValidationError
-from svdn.evaluation import generate_synthetic
-from svdn.network import FreezeMask, _grads_into, build_model, load_checkpoint, sgd_step
+from svdn.evaluation import RetrievalDataset, generate_synthetic
+from svdn.network import _grads_into, build_model, load_checkpoint
 from svdn.trainer import (
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
@@ -199,14 +199,15 @@ class TestRunRri:
 
 def reference_phase(model, X, y, rng, epochs, lr, frozen, batch_size):
     """The step loop written with the public API: one ``loss_and_grads``
-    and one ``sgd_step`` per batch, batches drawn as the trainer draws
-    them."""
+    and one plain SGD update per batch, batches drawn as the trainer
+    draws them."""
     for _ in range(epochs):
         order = rng.permutation(y.shape[0])
         for start in range(0, y.shape[0], batch_size):
             idx = order[start : start + batch_size]
-            _, grads = model.loss_and_grads(X[idx], y[idx], FreezeMask(eigenlayer_frozen=frozen))
-            sgd_step(model, grads, lr)
+            _, grads = model.loss_and_grads(X[idx], y[idx], frozen=frozen)
+            for name, p in model.param_items():
+                p -= lr * grads[name]
 
 
 def assert_same_params(a, b):
@@ -236,26 +237,31 @@ class TestFusedStep:
         reference_phase(ref, X, y, rng, sched.relaxation_epochs, sched.lr_relaxation, False, sched.batch_size)
         assert_same_params(model, ref)
 
-    def test_non_finite_gradient_mid_phase_changes_nothing(self, small_data, monkeypatch):
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "free"])
+    @pytest.mark.parametrize("param", ["backbone0.weight", "classifier.bias"])
+    def test_non_finite_gradient_mid_phase_changes_nothing(self, small_data, monkeypatch, param, frozen):
         sched = small_schedule(max_rri=1)
         model, _ = train_step0(small_model(small_data), small_data, sched)
         per_epoch = -(-training_arrays(small_data)[1].shape[0] // sched.batch_size)
-        bad_call = per_epoch + 2  # second step of the restraint phase's second epoch
+        restraint_calls = sched.restraint_epochs * per_epoch
+        # the second step of the second epoch of the restraint or the relaxation phase
+        bad_call = per_epoch + 2 + (0 if frozen else restraint_calls)
+        slot = [name for name, _ in model.param_items()].index(param)
         calls, before = [], {}
 
-        def poisoned(model_, batch, labels, frozen, gviews):
-            calls.append(frozen)
+        def poisoned(model_, batch, labels, frozen_, gviews):
+            calls.append(frozen_)
             if len(calls) == bad_call:
                 before.update((name, p.copy()) for name, p in model_.param_items())
-            loss = _grads_into(model_, batch, labels, frozen, gviews)
+            loss = _grads_into(model_, batch, labels, frozen_, gviews)
             if len(calls) == bad_call:
-                gviews[-1][0] = np.nan  # the last parameter: an update in parameter order would have moved all others
+                gviews[slot].flat[0] = np.nan
             return loss
 
         monkeypatch.setattr("svdn.trainer._grads_into", poisoned)
-        with pytest.raises(NumericError, match="classifier.bias"):
+        with pytest.raises(NumericError, match=param):
             run_rri(model, small_data, sched)
-        assert calls == [True] * bad_call
+        assert calls == [True] * min(bad_call, restraint_calls) + [False] * max(0, bad_call - restraint_calls)
         for name, p in model.param_items():
             assert np.array_equal(p, before[name]), name
 
@@ -268,6 +274,21 @@ class TestFusedStep:
             before = model.copy()
             with pytest.raises(ValidationError, match="features"):
                 entry(model, small_data, small_schedule())
+            assert_same_params(before, model)
+        assert calls == []
+
+    def test_empty_query_split_rejected_before_any_step(self, small_data, monkeypatch):
+        keep = small_data.split == "train"
+        train_only = RetrievalDataset(
+            small_data.features[keep], small_data.ids[keep], small_data.cameras[keep], small_data.split[keep]
+        ).validate()
+        calls = []
+        monkeypatch.setattr("svdn.trainer._grads_into", lambda *args: calls.append(args))
+        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
+            model = small_model(small_data)
+            before = model.copy()
+            with pytest.raises(ValidationError, match="query split"):
+                entry(model, train_only, small_schedule())
             assert_same_params(before, model)
         assert calls == []
 
