@@ -34,6 +34,7 @@ from .evaluation import (
     generate_synthetic,
     l2_normalize,
     load_dataset,
+    require_queries,
     save_dataset,
     write_report,
 )
@@ -81,6 +82,8 @@ def _run(args) -> int:
         if cfg.dataset and not Path(cfg.dataset).is_file():
             raise ValidationError(f"config key 'dataset': no such file {cfg.dataset!r}")
         data = load_dataset(cfg.dataset) if cfg.dataset else None
+        if data is not None:
+            require_queries(data, f"dataset {cfg.dataset}")  # every command given data scores retrieval
         seed, config = cfg.schedule.seed, cfg.to_dict()
     manifest = {
         "tool": "svdn",
@@ -128,8 +131,18 @@ def cmd_train(args, out, cfg, data) -> None:
     print(f"final s_of_w={last.s_of_w:.6f} rank1={last.rank1:.4f} mAP={last.map:.4f}")
 
 
+def _load_model(path, cfg, data):
+    """The checkpoint at ``path``, checked against the dataset's width, if any."""
+    model = load_checkpoint(path)
+    if data is not None and model.input_dim != data.dim:
+        raise ValidationError(
+            f"checkpoint {path} expects {model.input_dim} features but dataset {cfg.dataset} has {data.dim}"
+        )
+    return model
+
+
 def cmd_eval(args, out, cfg, data) -> None:
-    model = load_checkpoint(args.ckpt)
+    model = _load_model(args.ckpt, cfg, data)
     qf = model.extract_features(data.query_features, cfg.feature)
     gf = model.extract_features(data.gallery_features, cfg.feature)
     if args.l2_normalize:
@@ -169,7 +182,7 @@ def _collect_checkpoints(paths: list[str]) -> list[tuple[Path, str, str]]:
 def cmd_diagnose(args, out, cfg, data) -> None:
     rows = []
     for path, rri_index, phase in _collect_checkpoints(args.checkpoints):
-        model = load_checkpoint(path)
+        model = _load_model(path, cfg, data)
         score = s_of_w(model.eigenlayer)
         rank1 = mean_ap = ""
         if data is not None:

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError, read_text
-from .linalg import as_matrix, pairwise_sq_dist
+from .linalg import _sq_dist_blocks, as_matrix, pairwise_sq_dist
 
 SPLIT_TRAIN = "train"
 SPLIT_QUERY = "query"
 SPLIT_GALLERY = "gallery"
 SPLITS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
-# Queries per distance block in evaluate_features; peak memory grows with
+# Queries per distance block in evaluate_features; scoring memory grows with
 # QUERY_BLOCK x gallery rows instead of queries x gallery rows.
-QUERY_BLOCK = 256
+QUERY_BLOCK = 64
 
 
 @dataclass
@@ -106,6 +106,13 @@ class RetrievalDataset:
                 f"query identity {q_ids[qi]} (camera {q_cams[qi]}) has no gallery sample under a different camera"
             )
         return self
+
+
+def require_queries(dataset: RetrievalDataset, source: str = "dataset") -> None:
+    """Raise ValidationError naming ``source`` unless the dataset has query
+    rows; ``validate`` accepts a table without them, retrieval cannot."""
+    if dataset.query_ids.size == 0:
+        raise ValidationError(f"{source} has an empty query split; retrieval scoring needs query rows")
 
 
 def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,7 +243,9 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     ordering keys (one row per query, one column per gallery row).
 
     Each block's junk entries are overwritten with NaN, which no ``<=``,
-    ``==`` or sort comparison counts; callers pass blocks they do not reuse.
+    ``==`` or sort comparison counts.  A block is finished with before the
+    next one is requested, so a caller may write every block into the
+    same buffer.
     A positive's 0-based rank in its query's junk-filtered list is then
     the number of rows before it, where rows are ordered by key and equal
     keys by gallery index.  Each row sorts only the keys at or below its
@@ -338,7 +347,8 @@ def evaluate_features(dataset: RetrievalDataset, query_feats, gallery_feats) -> 
     Each positive's rank is counted from the distances directly: the
     non-junk rows strictly closer plus those at equal distance with a
     lower gallery index.  Distances are computed ``QUERY_BLOCK`` queries
-    at a time, so memory grows with one block times the gallery size.
+    at a time into buffers allocated once, so memory grows with one block
+    times the gallery size.
     """
     q, g = _check_features(query_feats, gallery_feats)
     expected = (dataset.query_ids.shape[0], dataset.gallery_ids.shape[0])
@@ -346,8 +356,7 @@ def evaluate_features(dataset: RetrievalDataset, query_feats, gallery_feats) -> 
         raise ValidationError(
             f"features for {q.shape[0]} queries x {g.shape[0]} gallery rows, dataset has {expected[0]} x {expected[1]}"
         )
-    blocks = (pairwise_sq_dist(q[start : start + QUERY_BLOCK], g) for start in range(0, q.shape[0], QUERY_BLOCK))
-    return _score(dataset, blocks)
+    return _score(dataset, _sq_dist_blocks(q, g, QUERY_BLOCK))
 
 
 def l2_normalize(feats) -> np.ndarray:

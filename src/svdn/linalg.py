@@ -113,16 +113,36 @@ def pairwise_sq_dist(a, b) -> np.ndarray:
     b = a if same else as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"pairwise_sq_dist: row dimensions differ, {a.shape[1]} vs {b.shape[1]}")
+    return next(_sq_dist_blocks(a, b, a.shape[0]))
+
+
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, rows: int):
+    """Yield :func:`pairwise_sq_dist` of each consecutive ``rows``-row
+    slice of ``a`` against all of ``b``, for inputs already checked.
+
+    The squared norms and ``b.T`` are taken once, and every block is
+    written into the same ``rows x len(b)`` distance, norms and mask
+    buffers, so a caller must be done with a block before it asks for
+    the next.  The one-block case (``rows >= len(a)``) with ``a is b``
+    hands BLAS the product of a matrix with its own transpose, which it
+    computes exactly symmetric."""
     a2 = np.einsum("ij,ij->i", a, a)
-    b2 = a2 if same else np.einsum("ij,ij->i", b, b)
-    d = a @ b.T
-    d *= -2.0
-    norms = np.add.outer(a2, b2)
-    d += norms
-    norms *= _CANCELLATION
-    close = np.flatnonzero(d <= norms)
-    for lo in range(0, close.size, _RECOMPUTE_CHUNK):
-        i, j = np.divmod(close[lo : lo + _RECOMPUTE_CHUNK], d.shape[1])
-        diff = a[i] - b[j]
-        d[i, j] = np.einsum("ij,ij->i", diff, diff)
-    return d
+    b2 = a2 if a is b else np.einsum("ij,ij->i", b, b)
+    bt = b.T
+    shape = (min(rows, a.shape[0]), b.shape[0])
+    d_buf, norms_buf, mask_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        n = block.shape[0]
+        d, norms, mask = d_buf[:n], norms_buf[:n], mask_buf[:n]
+        np.matmul(block, bt, out=d)
+        d *= -2.0
+        np.add.outer(a2[start : start + n], b2, out=norms)
+        d += norms
+        norms *= _CANCELLATION
+        close = np.flatnonzero(np.less_equal(d, norms, out=mask))
+        for lo in range(0, close.size, _RECOMPUTE_CHUNK):
+            i, j = np.divmod(close[lo : lo + _RECOMPUTE_CHUNK], d.shape[1])
+            diff = block[i] - b[j]
+            d[i, j] = np.einsum("ij,ij->i", diff, diff)
+        yield d

@@ -108,11 +108,18 @@ class EigenModel:
 
     def extract_features(self, batch, which: str = "output") -> np.ndarray:
         """Retrieval features: the eigenlayer's input (``which="input"``)
-        or its output (``which="output"``)."""
+        or its output (``which="output"``), with the same bits as
+        :meth:`forward`.  Each layer's bias add and ReLU run in place on
+        its product and no intermediate is kept, so at most two
+        activation-sized arrays are alive at once."""
         if which not in FEATURE_KINDS:
             raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
-        h, f, _ = self.forward(batch)
-        return h if which == "input" else f
+        h = self._check_batch(batch)
+        for layer in self.backbone:
+            z = h @ layer.weight
+            z += layer.bias
+            h = np.maximum(z, 0.0, out=z)
+        return h if which == "input" else h @ self.eigenlayer
 
     def _check_labels(self, labels, m: int) -> np.ndarray:
         labels = np.asarray(labels)

@@ -31,7 +31,7 @@ from . import decorrelate
 from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError
-from .evaluation import RetrievalDataset, evaluate_features
+from .evaluation import RetrievalDataset, evaluate_features, require_queries
 from .network import EigenModel, _flatten, _grads_into, build_model, save_checkpoint
 
 PHASE_STEP0 = "step0"
@@ -151,8 +151,7 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     order: 0 for step 0, 1 for the iterations (RRI and its control alike)."""
     schedule.validate()
     X, y, c = training_arrays(data)
-    if data.query_ids.size == 0:
-        raise ValidationError("dataset has an empty query split; every phase boundary scores retrieval")
+    require_queries(data)  # every phase boundary scores retrieval
     if model.num_classes != c:
         raise ValidationError(f"model has {model.num_classes} classes but the dataset has {c} training identities")
     n, k = model.eigenlayer.shape

@@ -120,9 +120,7 @@ class TestTrain:
         assert list(out.glob("ckpt_*.svdn")) == []
 
     def test_dataset_without_queries_exits_2_before_step0(self, tmp_path, config_path, dataset_path, capsys):
-        header, *rows = dataset_path.read_text().splitlines()
-        train_only = tmp_path / "train_only.csv"
-        train_only.write_text("\n".join([header] + [r for r in rows if r.split(",")[2] == "train"]) + "\n")
+        train_only = _train_only_copy(dataset_path, tmp_path)
         out = tmp_path / "noq"
         rc = main(["train", "--config", str(config_path), "--out", str(out), "--dataset", str(train_only)])
         assert rc == 2
@@ -155,6 +153,45 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(out.glob("ckpt_*.svdn")) == []
+
+
+def _train_only_copy(dataset_path, tmp_path):
+    header, *rows = dataset_path.read_text().splitlines()
+    train_only = tmp_path / "train_only.csv"
+    train_only.write_text("\n".join([header] + [r for r in rows if r.split(",")[2] == "train"]) + "\n")
+    return train_only
+
+
+def _scoring_argv(command, config_path, out, ckpt, dataset):
+    return {
+        "eval": ["eval", "--config", str(config_path), "--out", str(out), "--ckpt", str(ckpt), "--dataset", str(dataset)],
+        "diagnose": ["diagnose", "--config", str(config_path), "--out", str(out), "--dataset", str(dataset), str(ckpt)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_dataset_without_queries_exits_2_naming_file_and_split(
+    tmp_path, config_path, dataset_path, trained, capsys, monkeypatch, command
+):
+    train_only = _train_only_copy(dataset_path, tmp_path)
+    forward = []
+    monkeypatch.setattr("svdn.network.EigenModel.extract_features", lambda *args: forward.append(args))
+    out = tmp_path / "noq"
+    assert main(_scoring_argv(command, config_path, out, trained / "ckpt_final.svdn", train_only)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(train_only) in err and "query split" in err
+    assert forward == []
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_checkpoint_dataset_width_mismatch_exits_2_naming_both(tmp_path, config_path, trained, capsys, command):
+    wide = tmp_path / "wide"
+    assert main(["gen", "--out", str(wide), "--ids", "6", "--cameras", "2", "--samples", "2", "--dim", "9"]) == 0
+    ckpt = trained / "ckpt_final.svdn"
+    assert main(_scoring_argv(command, config_path, tmp_path / "out", ckpt, wide / "dataset.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and str(wide / "dataset.csv") in err
+    assert "expects 8 features" in err and "has 9" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "train", "diagnose"])

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -294,6 +295,22 @@ class TestEvaluateFeatures:
         got = evaluate_features(ds, q, g)
         reference = loop_rank_aps(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras, loop_sq_dists(q, g))
         assert np.array_equal(got.per_query_ap, reference)
+
+    def test_peak_memory_is_one_query_block(self):
+        # the full 1000 x 5000 distance matrix alone would take 38 MiB
+        n_query, n_gallery, dim = 1000, 5000, 32
+        ds = manual_dataset(
+            np.arange(n_query) % 500, np.zeros(n_query, dtype=int), np.arange(n_gallery) % 500, np.ones(n_gallery, dtype=int)
+        )
+        rng = np.random.default_rng(0)
+        q, g = rng.normal(size=(n_query, dim)), rng.normal(size=(n_gallery, dim))
+        tracemalloc.start()
+        try:
+            evaluate_features(ds, q, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_shape_mismatch_rejected(self):
         ds, q, g = tie_heavy_case(seed=0, n_query=4, n_gallery=9)

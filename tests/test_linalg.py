@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdn.errors import DegeneracyError, ValidationError
-from svdn.linalg import SvdFactors, pairwise_sq_dist, qr, svd
+from svdn.linalg import SvdFactors, _sq_dist_blocks, pairwise_sq_dist, qr, svd
 
 from oracles import jacobi_eigenvalues, loop_sq_dists
 
@@ -174,16 +174,33 @@ class TestPairwiseSqDist:
         scale=st.sampled_from([1e-3, 1.0, 37.0, 1e4]),
         offset=st.sampled_from([0.0, 1.0, -250.0, 1e6]),
         seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 12),
     )
-    def test_property_against_loop_oracle(self, n, m, k, scale, offset, seed):
+    def test_property_against_loop_oracle(self, n, m, k, scale, offset, seed, block):
         """Identical row pairs give exactly 0; every entry is within the
-        expansion's rounding bound of the loop oracle."""
+        expansion's rounding bound of the loop oracle.  Blocks of ``block``
+        rows written through the reused buffers have the bits of
+        ``pairwise_sq_dist`` on the same rows, also when only the first
+        block holds near-duplicate rows (the recompute path).  A BLAS
+        product's bits may depend on its row count, so each block is
+        compared with its own rows alone."""
         rng = np.random.default_rng(seed)
         a = offset + scale * rng.normal(size=(n, k))
         b = offset + scale * rng.normal(size=(m, k))
-        pairs = [(int(rng.integers(n)), j) for j in range(m) if rng.random() < 0.5]
+        pairs, near = [], []
+        for j in range(m):
+            u = rng.random()
+            if u < 0.4:
+                pairs.append((int(rng.integers(n)), j))
+            elif u < 0.7:
+                near.append((int(rng.integers(min(block, n))), j))
         for i, j in pairs:
             b[j] = a[i]
+        for i, j in near:
+            b[j] = a[i] + 1e-6 * scale * rng.normal(size=k)
+        blocks = np.concatenate([blk.copy() for blk in _sq_dist_blocks(a, b, block)])
+        one_by_one = np.concatenate([pairwise_sq_dist(a[s : s + block], b) for s in range(0, n, block)])
+        assert np.array_equal(blocks, one_by_one)
         d, ref = pairwise_sq_dist(a, b), loop_sq_dists(a, b)
         for i, j in pairs:
             assert d[i, j] == 0.0

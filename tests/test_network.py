@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestForward:
         assert np.array_equal(model.extract_features(batch, "output"), f)
         with pytest.raises(ValidationError):
             model.extract_features(batch, "middle")
+
+    @pytest.mark.parametrize("which", ["input", "output"])
+    def test_extract_features_peak_memory(self, which):
+        # forward() keeps every layer's pre-activation and activation:
+        # about 4.7 arrays of rows x width here
+        rows, width = 10000, 128
+        model = build_model(16, (width, width), 64, 10, seed=0)
+        batch = np.random.default_rng(0).normal(size=(rows, 16))
+        tracemalloc.start()
+        try:
+            model.extract_features(batch, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * rows * width * 8
 
     def test_eigenlayer_linearity(self):
         model = tiny_model(seed=7)
