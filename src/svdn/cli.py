@@ -10,7 +10,9 @@ with and without the iteration scheme).
 Every subcommand runs through ``_run``: create ``--out``, resolve the
 config and load the dataset, write ``manifest.json`` (tool version,
 seed, effective config, artifact paths) before any work, and exit 0
-only if every artifact exists afterwards.  Every command but ``gen``
+only if every artifact exists afterwards.  Every file is written through
+``errors.open_artifact``, so a failed command leaves no partial file
+under an artifact's name.  Every command but ``gen``
 takes one flag per config key, generated from ``config.CONFIG_KEYS``
 (``--step0-epochs`` sets ``step0_epochs``); flags override the file.
 """
@@ -18,7 +20,6 @@ takes one flag per config key, generated from ``config.CONFIG_KEYS``
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .config import CONFIG_KEYS, PARSERS, RunConfig, load_config, override_config, parse_dims
 from .decorrelate import DecorrMethod
-from .errors import SvdnError, ValidationError
+from .errors import SvdnError, ValidationError, open_artifact, write_csv
 from .evaluation import (
     evaluate_features,
     format_report,
@@ -93,7 +94,8 @@ def _run(args) -> int:
         "config": config,
         "artifacts": args.artifacts,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open_artifact(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     args.work(args, out, cfg, data)
     missing = [rel for rel in args.artifacts.values() if not (out / rel).exists()]
@@ -101,13 +103,6 @@ def _run(args) -> int:
         print(f"error: missing artifacts after run: {', '.join(missing)}", file=sys.stderr)
         return 1
     return 0
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_gen(args, out, cfg, data) -> None:
@@ -191,7 +186,7 @@ def cmd_diagnose(args, out, cfg, data) -> None:
         rows.append((str(path), rri_index, phase, repr(score), rank1, mean_ap))
         extra = f" rank1={rank1} map={mean_ap}" if data is not None else ""
         print(f"{path.name}: s_of_w={score!r}{extra}")
-    _write_csv(out / "diagnose.csv", ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
+    write_csv(out / "diagnose.csv", ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
 
 
 def cmd_compare(args, out, cfg, data) -> None:
@@ -199,7 +194,7 @@ def cmd_compare(args, out, cfg, data) -> None:
     rows = run_decorr_comparison(
         data, cfg.schedule, methods=methods, hidden_dims=cfg.hidden_dims, eigen_dim=cfg.eigen_dim, feature=cfg.feature
     )
-    _write_csv(
+    write_csv(
         out / "comparison.csv", ["method", "rank1", "map"], [[r.method.value, repr(r.rank1), repr(r.map)] for r in rows]
     )
     print("method   rank1    mAP")
@@ -214,7 +209,7 @@ def cmd_sweep_dim(args, out, cfg, data) -> None:
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "
             f"without mAP={wo.map:.4f} rank1={wo.rank1:.4f}"
         )
-    _write_csv(
+    write_csv(
         out / "sweep_dim.csv",
         ["dim", "map_with_rri", "map_without_rri", "rank1_with_rri", "rank1_without_rri"],
         [[dim, repr(w.map), repr(wo.map), repr(w.rank1), repr(wo.rank1)] for dim, w, wo in results],

@@ -16,15 +16,14 @@ and samples are distorted centers plus isotropic noise.
 
 from __future__ import annotations
 
-import csv
 import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError, read_text
-from .linalg import _sq_dist_blocks, as_matrix, pairwise_sq_dist
+from .errors import DegeneracyError, ValidationError, open_artifact, read_text
+from .linalg import _sq_dist_blocks, as_matrix
 
 SPLIT_TRAIN = "train"
 SPLIT_QUERY = "query"
@@ -233,9 +232,12 @@ def rank_gallery(query_feats, gallery_feats) -> np.ndarray:
     broken by gallery index so the ordering is deterministic.
 
     For callers that need the full ranked lists; scoring does not, and
-    ``evaluate_features`` gives the same report without ranking."""
+    ``evaluate_features`` gives the same report without ranking.  Both
+    take the distances in the same ``QUERY_BLOCK``-row blocks, because
+    BLAS may round a product with another row count differently and so
+    order a near-tie the other way."""
     q, g = _check_features(query_feats, gallery_feats)
-    return np.argsort(pairwise_sq_dist(q, g), axis=1, kind="stable")
+    return np.concatenate([np.argsort(d, axis=1, kind="stable") for d in _sq_dist_blocks(q, g, QUERY_BLOCK)])
 
 
 def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
@@ -371,7 +373,7 @@ def l2_normalize(feats) -> np.ndarray:
 def save_dataset(dataset: RetrievalDataset, path) -> None:
     d = dataset.dim
     labels = zip(dataset.ids.astype(np.int64).tolist(), dataset.cameras.astype(np.int64).tolist(), dataset.split.tolist())
-    with open(path, "w", newline="") as fh:
+    with open_artifact(path) as fh:
         fh.write(",".join(["id", "camera", "split"] + [f"f{j}" for j in range(d)]) + "\n")
         # one row of Python floats at a time keeps the transient memory small
         fh.writelines(
@@ -431,16 +433,12 @@ def _parse_rows(lines: list[str], row: np.dtype) -> np.ndarray:
 def write_report(report: RankingReport, path) -> None:
     """Report CSV: metric,value rows for the headline numbers followed by
     the full cumulative matching curve."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        n = len(report.cmc)
-        for r in (1, 5, 10):
-            if r <= n:
-                writer.writerow([f"rank{r}", repr(float(report.cmc[r - 1]))])
-        writer.writerow(["map", repr(float(report.map))])
-        writer.writerow(["valid_queries", len(report.per_query_ap)])
-        writer.writerow(["excluded_queries", report.excluded_queries])
+    n = len(report.cmc)
+    with open_artifact(path) as fh:
+        fh.write("metric,value\n")
+        fh.writelines(f"rank{r},{float(report.cmc[r - 1])!r}\n" for r in (1, 5, 10) if r <= n)
+        fh.write(f"map,{float(report.map)!r}\n")
+        fh.write(f"valid_queries,{len(report.per_query_ap)}\nexcluded_queries,{report.excluded_queries}\n")
         fh.writelines(f"cmc{r},{value!r}\n" for r, value in enumerate(report.cmc.tolist(), start=1))
 
 

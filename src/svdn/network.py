@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_artifact
 from .linalg import as_matrix
 
 CHECKPOINT_MAGIC = b"SVDN"
@@ -268,7 +268,8 @@ def save_checkpoint(model: EigenModel, path) -> None:
         else:
             blob += struct.pack("<B", 1)
             blob += np.ascontiguousarray(bias, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open_artifact(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> EigenModel:

@@ -20,7 +20,6 @@ quality, and (given an output directory) writes a checkpoint.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 from . import decorrelate
 from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
 from .network import EigenModel, _flatten, _grads_into, build_model, save_checkpoint
 
@@ -101,11 +100,11 @@ class ComparisonRow:
 def write_trace(trace: RriTrace, path) -> None:
     """Trace CSV with one row per phase record; floats via repr() so two
     identical runs produce identical bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in (getattr(r, c) for c in TRACE_COLUMNS)])
+    write_csv(
+        path,
+        TRACE_COLUMNS,
+        ([repr(v) if isinstance(v, float) else v for v in (getattr(r, c) for c in TRACE_COLUMNS)] for r in trace.records),
+    )
 
 
 def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int]:

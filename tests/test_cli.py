@@ -286,6 +286,17 @@ class TestDiagnose:
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert lines[1].endswith(",,")
 
+    def test_directory_ignores_leftover_temporary_file(self, tmp_path, trained):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in ("ckpt_rri0_step0.svdn", "ckpt_final.svdn"):
+            (runs / name).write_bytes((trained / name).read_bytes())
+        (runs / ".ckpt_rri1_decorrelate.svdn.4242.tmp").write_bytes((trained / "ckpt_final.svdn").read_bytes()[:100])
+        out = tmp_path / "diag4"
+        assert main(["diagnose", "--out", str(out), str(runs)]) == 0
+        rows = (out / "diagnose.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(runs / "ckpt_rri0_step0.svdn"), str(runs / "ckpt_final.svdn")]
+
     def test_directory_without_checkpoints_exits_2_naming_it(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -81,6 +81,21 @@ class TestRankGallery:
         ranked = rank_gallery(np.array([[0.0, 0.0]]), gallery)
         assert ranked[0].tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranked_path_matches_blocked_scoring_on_continuous_features(self, seed):
+        # each query has a positive at q + e and a negative at q - e: equally
+        # far in exact arithmetic, so the last bits of the distance product
+        # decide their order, and both paths must compute the same bits
+        rng = np.random.default_rng(seed)
+        n_query, dim = 2 * QUERY_BLOCK + 2, 37
+        q, e = rng.normal(size=(2, n_query, dim))
+        g = np.vstack([q + e, q - e, rng.normal(size=(n_query, dim))])
+        q_ids = np.arange(n_query)
+        g_ids = np.concatenate([q_ids, (q_ids + 1) % n_query, rng.integers(0, n_query, n_query)])
+        order = rng.permutation(g_ids.size)
+        ds = manual_dataset(q_ids, np.zeros(n_query, dtype=int), g_ids[order], np.ones(g_ids.size, dtype=int))
+        assert_same_report(evaluate(ds, rank_gallery(q, g[order])), evaluate_features(ds, q, g[order]))
+
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             rank_gallery(np.ones((2, 3)), np.ones((2, 4)))
