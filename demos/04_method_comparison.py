@@ -9,16 +9,16 @@ on top.
 from svdn import DecorrMethod, RriSchedule, generate_synthetic, run_decorr_comparison
 
 data = generate_synthetic()
-rows = run_decorr_comparison(data, RriSchedule())
+results = dict(run_decorr_comparison(data, RriSchedule()))
 
 print("method   rank-1    mAP")
-best = max(rows, key=lambda r: r.map)
-for row in rows:
-    marker = "  <- best" if row is best else ""
-    print(f"{row.method.value:<8} {row.rank1:.4f}  {row.map:.4f}{marker}")
+best = max(results, key=lambda method: results[method].map)
+for method, record in results.items():
+    marker = "  <- best" if method is best else ""
+    print(f"{method.value:<8} {record.rank1:.4f}  {record.map:.4f}{marker}")
 
-us = next(r for r in rows if r.method is DecorrMethod.US)
+us = results[DecorrMethod.US]
 print(f"\nUS margin over each competitor (mAP):")
-for row in rows:
-    if row.method is not DecorrMethod.US:
-        print(f"  vs {row.method.value:<5}: {us.map - row.map:+.4f}")
+for method, record in results.items():
+    if method is not DecorrMethod.US:
+        print(f"  vs {method.value:<5}: {us.map - record.map:+.4f}")

@@ -27,7 +27,6 @@ from .evaluation import (
 from .linalg import SvdFactors, pairwise_sq_dist, qr, svd
 from .network import EigenModel, build_model, load_checkpoint, save_checkpoint
 from .trainer import (
-    ComparisonRow,
     PhaseRecord,
     RriSchedule,
     RriTrace,
@@ -67,7 +66,6 @@ __all__ = [
     "RriSchedule",
     "RriTrace",
     "PhaseRecord",
-    "ComparisonRow",
     "train_step0",
     "run_rri",
     "run_baseline",

@@ -190,20 +190,20 @@ def cmd_diagnose(args, out, cfg, data) -> None:
 
 
 def cmd_compare(args, out, cfg, data) -> None:
-    methods = [DecorrMethod.from_name(name) for name in args.methods.split(",")] if args.methods is not None else None
+    methods = None if args.methods is None else [DecorrMethod.from_name(n.strip()) for n in args.methods.split(",")]
     rows = run_decorr_comparison(
         data, cfg.schedule, methods=methods, hidden_dims=cfg.hidden_dims, eigen_dim=cfg.eigen_dim, feature=cfg.feature
     )
     write_csv(
-        out / "comparison.csv", ["method", "rank1", "map"], [[r.method.value, repr(r.rank1), repr(r.map)] for r in rows]
+        out / "comparison.csv", ["method", "rank1", "map"], [[m.value, repr(r.rank1), repr(r.map)] for m, r in rows]
     )
     print("method   rank1    mAP")
-    for row in rows:
-        print(f"{row.method.value:<8} {row.rank1:.4f}  {row.map:.4f}")
+    for method, r in rows:
+        print(f"{method.value:<8} {r.rank1:.4f}  {r.map:.4f}")
 
 
 def cmd_sweep_dim(args, out, cfg, data) -> None:
-    results = run_dim_sweep(data, cfg.schedule, parse_dims("dims", args.dims), cfg.hidden_dims, cfg.feature)
+    results = run_dim_sweep(data, cfg.schedule, parse_dims("--dims", args.dims, "flag"), cfg.hidden_dims, cfg.feature)
     for dim, w, wo in results:
         print(
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "

@@ -46,14 +46,14 @@ def _scalar(kind, expected: str):
     return parse
 
 
-def parse_dims(key: str, value: str) -> tuple[int, ...]:
-    """Comma-separated layer widths, such as ``128,64``; errors name ``key``."""
+def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...]:
+    """Comma-separated layer widths, such as ``128,64``; errors name the ``kind`` ``key``."""
     try:
         dims = tuple(int(part.strip()) for part in value.split(",") if part.strip())
     except ValueError:
-        raise ValidationError(f"config key {key!r}: expected comma-separated integers, got {value!r}") from None
+        raise ValidationError(f"{kind} {key!r}: expected comma-separated integers, got {value!r}") from None
     if not dims:
-        raise ValidationError(f"config key {key!r}: expected at least one dimension")
+        raise ValidationError(f"{kind} {key!r}: expected at least one dimension")
     return dims
 
 

@@ -84,41 +84,41 @@ class EigenModel:
             )
         return batch
 
-    def _forward_full(self, batch: np.ndarray):
-        """Forward pass keeping the intermediates needed for backprop."""
-        pre_acts = []   # z_i = a_{i-1} @ W_i + b_i, before ReLU
-        acts = [batch]  # a_0 = batch, a_i = relu(z_i)
-        a = batch
-        for layer in self.backbone:
-            z = a @ layer.weight + layer.bias
-            a = np.maximum(z, 0.0)
-            pre_acts.append(z)
-            acts.append(a)
-        h = a
-        f = h @ self.eigenlayer
-        logits = f @ self.classifier.weight + self.classifier.bias
-        return pre_acts, acts, h, f, logits
-
-    def forward(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (h, f, logits): the eigenlayer input feature, the
-        eigenlayer output feature, and the classifier scores."""
-        batch = self._check_batch(batch)
-        _, _, h, f, logits = self._forward_full(batch)
-        return h, f, logits
-
-    def extract_features(self, batch, which: str = "output") -> np.ndarray:
-        """Retrieval features: the eigenlayer's input (``which="input"``)
-        or its output (``which="output"``), with the same bits as
-        :meth:`forward`.  Each layer's bias add and ReLU run in place on
-        its product and no intermediate is kept, so at most two
-        activation-sized arrays are alive at once."""
-        if which not in FEATURE_KINDS:
-            raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
-        h = self._check_batch(batch)
+    def _activations(self, batch: np.ndarray):
+        """Yield each backbone layer's activation.  Each layer's bias add
+        and ReLU run in place on its product, so a caller that keeps only
+        the latest activation holds at most two activation-sized arrays."""
+        h = batch
         for layer in self.backbone:
             z = h @ layer.weight
             z += layer.bias
             h = np.maximum(z, 0.0, out=z)
+            yield h
+
+    def _eigen_input(self, batch: np.ndarray) -> np.ndarray:
+        """The eigenlayer input ``h``: the last backbone activation."""
+        h = batch
+        for h in self._activations(batch):
+            pass
+        return h
+
+    def _outputs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, f, logits) for the eigenlayer input ``h``."""
+        f = h @ self.eigenlayer
+        return h, f, f @ self.classifier.weight + self.classifier.bias
+
+    def forward(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return (h, f, logits): the eigenlayer input feature, the
+        eigenlayer output feature, and the classifier scores."""
+        return self._outputs(self._eigen_input(self._check_batch(batch)))
+
+    def extract_features(self, batch, which: str = "output") -> np.ndarray:
+        """Retrieval features: the eigenlayer's input (``which="input"``)
+        or its output (``which="output"``), with the same bits as
+        :meth:`forward`."""
+        if which not in FEATURE_KINDS:
+            raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
+        h = self._eigen_input(self._check_batch(batch))
         return h if which == "input" else h @ self.eigenlayer
 
     def _check_labels(self, labels, m: int) -> np.ndarray:
@@ -136,7 +136,7 @@ class EigenModel:
         """Mean softmax cross-entropy of the batch."""
         batch = self._check_batch(batch)
         labels = self._check_labels(labels, batch.shape[0])
-        _, _, _, _, logits = self._forward_full(batch)
+        _, _, logits = self._outputs(self._eigen_input(batch))
         return _cross_entropy(logits, labels)[0]
 
     def loss_and_grads(self, batch, labels, frozen: bool = False):
@@ -158,7 +158,8 @@ def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen
     ``labels`` must already have passed the model's checks.  With
     ``frozen`` the eigenlayer slot is left as it is, so a zeroed slot
     stays zero."""
-    pre_acts, acts, h, f, logits = model._forward_full(batch)
+    acts = [batch, *model._activations(batch)]  # a_0 = batch, a_i = relu(a_{i-1} @ W_i + b_i)
+    h, f, logits = model._outputs(acts[-1])
     loss, dlogits = _cross_entropy(logits, labels)
     m = batch.shape[0]
     dlogits[np.arange(m), labels] -= 1.0
@@ -172,7 +173,7 @@ def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen
         np.matmul(h.T, df, out=g_eigen)
     da = df @ model.eigenlayer.T
     for i in range(len(model.backbone) - 1, -1, -1):
-        np.multiply(da, pre_acts[i] > 0.0, out=da)  # ReLU backward: da becomes dz
+        np.multiply(da, acts[i + 1] > 0.0, out=da)  # ReLU backward (a > 0 exactly where z > 0): da becomes dz
         np.matmul(acts[i].T, da, out=g_backbone[2 * i])
         np.add.reduce(da, axis=0, out=g_backbone[2 * i + 1])
         if i > 0:

@@ -13,9 +13,9 @@ The full procedure is: an initial fine-tuning pass with everything free
 
 until the post-relaxation correlation score stops moving (two
 consecutive changes below ``epsilon_s``) or the iteration budget runs
-out.  Each phase is a tuple of data run by one loop.  Every phase
-boundary logs the correlation score, the training loss, and retrieval
-quality, and (given an output directory) writes a checkpoint.
+out.  Each phase is a tuple of data run by one ``train`` closure.  At
+every phase boundary one ``record`` closure logs the correlation score,
+the training loss and retrieval quality, and writes a checkpoint.
 """
 
 from __future__ import annotations
@@ -90,13 +90,6 @@ class RriTrace:
     converged: bool = False
 
 
-@dataclass
-class ComparisonRow:
-    method: DecorrMethod
-    rank1: float
-    map: float
-
-
 def write_trace(trace: RriTrace, path) -> None:
     """Trace CSV with one row per phase record; floats via repr() so two
     identical runs produce identical bytes."""
@@ -146,8 +139,8 @@ def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> lis
 
 def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, stream: int, feature: str):
     """Check the schedule and the model against the dataset before any
-    training; return this run's phase loop.  ``stream`` seeds the batch
-    order: 0 for step 0, 1 for the iterations (RRI and its control alike)."""
+    training; return this run's ``train`` and ``record`` closures.  ``stream``
+    seeds the batch order: 0 for step 0, 1 for the iterations (RRI and its control)."""
     schedule.validate()
     X, y, c = training_arrays(data)
     require_queries(data)  # every phase boundary scores retrieval
@@ -161,41 +154,41 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     rows = y.shape[0]
     rng = np.random.default_rng([schedule.seed, stream])
 
-    def run_phases(phases: list[tuple], rri_index: int, out_dir=None, log: bool = True) -> list[PhaseRecord]:
-        """Run ``phases`` in order: replace, train, then (with ``log``)
-        record each and write its checkpoint into ``out_dir``, if given.
-        A training phase moves the parameters into one flat buffer and
-        takes each SGD step as one kernel call and one update of it."""
-        records = []
-        for name, method, epochs, lr, frozen in phases:
-            if method is not None:
-                # in place: rebinding would keep the old weights alive in the flat buffer
-                model.eigenlayer[...] = decorrelate.apply(model.eigenlayer, method)
-            if epochs:
-                buf, gbuf, gviews = _flatten(model)
-            for epoch in range(epochs):
-                order = rng.permutation(rows)
-                X_epoch, y_epoch = X[order], y[order]
-                for start in range(0, rows, schedule.batch_size):
-                    stop = start + schedule.batch_size
-                    loss = _grads_into(model, X_epoch[start:stop], y_epoch[start:stop], frozen, gviews)
-                    if not math.isfinite(loss):
-                        raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
-                    if not np.isfinite(gbuf).all():
-                        bad = next(pname for (pname, _), g in zip(model.param_items(), gviews) if not np.isfinite(g).all())
-                        raise NumericError(f"training diverged: non-finite gradient for parameter {bad} at epoch {epoch}")
-                    gbuf *= lr  # in place: no step allocates a parameter-sized temporary
-                    buf -= gbuf
-            gbuf = gviews = X_epoch = y_epoch = None  # free before scoring: they would raise the peak RSS
-            if not log:
-                continue
-            rank1, mean_ap = evaluate_model(model, data, feature)
-            records.append(PhaseRecord(rri_index, name, s_of_w(model.eigenlayer), model.loss(X, y), rank1, mean_ap))
-            if out_dir is not None:
-                save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
-        return records
+    def train(method: DecorrMethod | None, epochs: int, lr: float, frozen: bool) -> None:
+        """Replace the eigenlayer by ``method`` (if given), then run
+        ``epochs`` SGD epochs.  Training moves the parameters into one flat
+        buffer and takes each step as one kernel call and one update of it;
+        the gradient buffer and the shuffled copies go when this returns."""
+        if method is not None:
+            # in place: rebinding would keep the old weights alive in the flat buffer
+            model.eigenlayer[...] = decorrelate.apply(model.eigenlayer, method)
+        if not epochs:
+            return
+        buf, gbuf, gviews = _flatten(model)
+        for epoch in range(epochs):
+            order = rng.permutation(rows)
+            X_epoch, y_epoch = X[order], y[order]
+            for start in range(0, rows, schedule.batch_size):
+                stop = start + schedule.batch_size
+                loss = _grads_into(model, X_epoch[start:stop], y_epoch[start:stop], frozen, gviews)
+                if not math.isfinite(loss):
+                    raise NumericError(f"training diverged: non-finite loss at epoch {epoch}")
+                if not np.isfinite(gbuf).all():
+                    bad = next(pname for (pname, _), g in zip(model.param_items(), gviews) if not np.isfinite(g).all())
+                    raise NumericError(f"training diverged: non-finite gradient for parameter {bad} at epoch {epoch}")
+                gbuf *= lr  # in place: no step allocates a parameter-sized temporary
+                buf -= gbuf
 
-    return run_phases
+    def record(name: str, rri_index: int, out_dir=None) -> PhaseRecord:
+        """Score the model as phase ``name`` of iteration ``rri_index`` and
+        write its checkpoint into ``out_dir``, if given."""
+        rank1, mean_ap = evaluate_model(model, data, feature)
+        result = PhaseRecord(rri_index, name, s_of_w(model.eigenlayer), model.loss(X, y), rank1, mean_ap)
+        if out_dir is not None:
+            save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
+        return result
+
+    return train, record
 
 
 def train_step0(
@@ -206,9 +199,9 @@ def train_step0(
     out_dir=None,
 ) -> tuple[EigenModel, PhaseRecord]:
     """Initial fine-tuning with every parameter free."""
-    run_phases = _setup(model, data, schedule, 0, feature)
-    [record] = run_phases([(PHASE_STEP0, None, schedule.step0_epochs, schedule.lr_step0, False)], 0, out_dir)
-    return model, record
+    train, record = _setup(model, data, schedule, 0, feature)
+    train(None, schedule.step0_epochs, schedule.lr_step0, False)
+    return model, record(PHASE_STEP0, 0, out_dir)
 
 
 def run_rri(
@@ -226,10 +219,12 @@ def run_rri(
     without stabilizing is not an error; the trace just reports
     ``converged=False``.
     """
-    run_phases = _setup(model, data, schedule, 1, feature)
+    train, record = _setup(model, data, schedule, 1, feature)
     trace = RriTrace()
     for t in range(1, schedule.max_rri + 1):
-        trace.records += run_phases(_iteration_phases(schedule, method), t, out_dir)
+        for name, *phase in _iteration_phases(schedule, method):
+            train(*phase)
+            trace.records.append(record(name, t, out_dir))
         relaxed = [r.s_of_w for r in trace.records if r.phase == PHASE_RELAXATION]
         if rri_converged(relaxed, schedule.epsilon_s):
             trace.converged = True
@@ -246,11 +241,13 @@ def run_baseline(
 ) -> tuple[EigenModel, PhaseRecord]:
     """Equal-epoch control: ``run_rri``'s phases over ``n_rri`` iterations
     with no weight replacement and nothing frozen, recorded once at the
-    end."""
-    run_phases = _setup(model, data, schedule, 1, feature)
-    run_phases(_iteration_phases(schedule, None) * n_rri, n_rri, log=False)
-    [record] = run_phases([(PHASE_BASELINE, None, 0, 0.0, False)], n_rri)
-    return model, record
+    end.  ``n_rri=0`` scores the model as given."""
+    if n_rri < 0:
+        raise ValidationError(f"n_rri must be >= 0, got {n_rri}")
+    train, record = _setup(model, data, schedule, 1, feature)
+    for _, *phase in _iteration_phases(schedule, None) * n_rri:
+        train(*phase)
+    return model, record(PHASE_BASELINE, n_rri)
 
 
 def run_decorr_comparison(
@@ -260,9 +257,10 @@ def run_decorr_comparison(
     hidden_dims=(128, 128),
     eigen_dim: int = 64,
     feature: str = "input",
-) -> list[ComparisonRow]:
+) -> list[tuple[DecorrMethod, PhaseRecord]]:
     """Train one model per replacement method (identical init and step 0,
-    thanks to the shared seed) and report final retrieval quality."""
+    thanks to the shared seed).  Returns ``(method, final RRI record)`` per
+    method, in ``DecorrMethod`` order."""
     requested = set(methods) if methods is not None else set(DecorrMethod)
     ordered = [m for m in DecorrMethod if m in requested]
     if not ordered:
@@ -270,11 +268,11 @@ def run_decorr_comparison(
     _, _, c = training_arrays(data)
     base = build_model(data.dim, hidden_dims, eigen_dim, c, schedule.seed)
     base, _ = train_step0(base, data, schedule, feature)
-    rows = []
+    results = []
     for method in ordered:
         _, trace = run_rri(base.copy(), data, schedule, method=method, feature=feature)
-        rows.append(ComparisonRow(method=method, rank1=trace.records[-1].rank1, map=trace.records[-1].map))
-    return rows
+        results.append((method, trace.records[-1]))
+    return results
 
 
 def run_dim_sweep(

@@ -103,6 +103,53 @@ def fd_gradients(model, batch, labels, step=1e-5):
     return grads
 
 
+def reference_forward(model, batch):
+    """The two-array forward pass: each layer computes ``z = a @ W + b``
+    in a new array and ``a = max(z, 0)`` in another.  Returns each
+    layer's ReLU mask ``z > 0``, the activations (``batch`` first), ``h``,
+    ``f`` and the logits, with the bits the model's in-place forward pass
+    must reproduce."""
+    masks, acts, a = [], [batch], batch
+    for layer in model.backbone:
+        z = a @ layer.weight + layer.bias
+        a = np.maximum(z, 0.0)
+        masks.append(z > 0.0)
+        acts.append(a)
+    f = a @ model.eigenlayer
+    return masks, acts, a, f, f @ model.classifier.weight + model.classifier.bias
+
+
+def reference_loss_and_grads(model, batch, labels, frozen=False):
+    """Mean cross-entropy and exact gradients keyed like ``param_items``,
+    by backprop over ``reference_forward`` with its ReLU masks ``z > 0``."""
+    masks, acts, h, f, logits = reference_forward(model, batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(total)
+    m = batch.shape[0]
+    loss = float(-log_probs[np.arange(m), labels].mean())
+    dlogits = exp / total
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits /= m
+
+    grads = {name: np.zeros_like(p) for name, p in model.param_items()}
+    *g_backbone, g_eigen, g_cls_weight, g_cls_bias = grads.values()
+    np.matmul(f.T, dlogits, out=g_cls_weight)
+    np.add.reduce(dlogits, axis=0, out=g_cls_bias)
+    df = dlogits @ model.classifier.weight.T
+    if not frozen:
+        np.matmul(h.T, df, out=g_eigen)
+    da = df @ model.eigenlayer.T
+    for i in range(len(model.backbone) - 1, -1, -1):
+        np.multiply(da, masks[i], out=da)
+        np.matmul(acts[i].T, da, out=g_backbone[2 * i])
+        np.add.reduce(da, axis=0, out=g_backbone[2 * i + 1])
+        if i > 0:
+            da = da @ model.backbone[i].weight.T
+    return loss, grads
+
+
 def pr_integration_ap(hits):
     """Average precision as the area under the precision-recall steps."""
     hits = np.asarray(hits, dtype=bool)

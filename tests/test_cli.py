@@ -335,6 +335,15 @@ class TestCompare:
         assert "Orig, US, U, UVt, QD" in capsys.readouterr().err
         assert not (tmp_path / "comparison.csv").exists()
 
+    def test_method_names_may_carry_spaces(self, tmp_path, config_path):
+        for name, methods in (("plain", "Orig,US"), ("spaced", "Orig, US")):
+            rc = main([
+                "compare", "--config", str(config_path), "--out", str(tmp_path / name),
+                "--methods", methods, "--max-rri", "1",
+            ])
+            assert rc == 0
+        assert (tmp_path / "spaced" / "comparison.csv").read_bytes() == (tmp_path / "plain" / "comparison.csv").read_bytes()
+
 
 class TestSweepDim:
     def test_two_curve_csv(self, tmp_path, config_path):
@@ -354,6 +363,12 @@ class TestSweepDim:
         ])
         assert rc == 2
         assert "backbone" in capsys.readouterr().err
+
+    def test_malformed_dims_named_as_the_flag(self, tmp_path, config_path, capsys):
+        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--dims" in err and "config key" not in err
 
 
 def _sample_text(key, dataset_path):

@@ -1,11 +1,15 @@
 """The quick demo scripts run to completion against the source tree."""
 
+import functools
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import svdn
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +24,13 @@ def test_demo_exits_0(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", ["04_method_comparison.py", "05_dimension_sweep.py"])
+def test_long_demo_runs_on_a_short_schedule(demo, monkeypatch, capsys):
+    """The long demos, in-process with their schedule cut to two step-0
+    epochs and one one-epoch iteration; the files keep their own schedule."""
+    short = functools.partial(svdn.RriSchedule, step0_epochs=2, restraint_epochs=1, relaxation_epochs=1, max_rri=1)
+    monkeypatch.setattr(svdn, "RriSchedule", short)
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    assert "mAP" in capsys.readouterr().out

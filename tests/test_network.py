@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdn.errors import ValidationError
 from svdn.network import (
@@ -13,7 +15,7 @@ from svdn.network import (
     save_checkpoint,
 )
 
-from oracles import fd_gradients, loop_forward
+from oracles import fd_gradients, loop_forward, reference_forward, reference_loss_and_grads
 
 
 def tiny_model(seed=0, input_dim=4, hidden=(5, 6), eigen=3, classes=3):
@@ -78,16 +80,20 @@ class TestForward:
         with pytest.raises(ValidationError):
             model.extract_features(batch, "middle")
 
-    @pytest.mark.parametrize("which", ["input", "output"])
+    @pytest.mark.parametrize("which", ["input", "output", "loss", "forward"])
     def test_extract_features_peak_memory(self, which):
-        # forward() keeps every layer's pre-activation and activation:
-        # about 4.7 arrays of rows x width here
+        # every walk of the backbone computes each activation in place on
+        # the layer's product and keeps only the latest; a walk that kept
+        # every pre-activation and activation would take about 4.7 arrays
+        # of rows x width here
         rows, width = 10000, 128
         model = build_model(16, (width, width), 64, 10, seed=0)
         batch = np.random.default_rng(0).normal(size=(rows, 16))
+        labels = np.arange(rows) % model.num_classes
+        calls = {"loss": lambda: model.loss(batch, labels), "forward": lambda: model.forward(batch)}
         tracemalloc.start()
         try:
-            model.extract_features(batch, which)
+            calls.get(which, lambda: model.extract_features(batch, which))()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -102,6 +108,40 @@ class TestForward:
         lhs = (a * h1 + b * h2) @ model.eigenlayer
         rhs = a * (h1 @ model.eigenlayer) + b * (h2 @ model.eigenlayer)
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1 + np.abs(rhs).max())
+
+
+class TestTwoArrayReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 8), max_size=3),
+        m=st.integers(1, 40),
+        frozen=st.booleans(),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_for_bit(self, hidden, m, frozen, zeros, seed):
+        """The in-place forward pass and the activation-masked backward
+        pass give the bits of the two-array reference."""
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 7, size=3)
+        model = build_model(int(dims[0]), hidden, int(dims[1]), int(dims[2]) + 1, seed)
+        batch = rng.normal(size=(m, model.input_dim))
+        labels = rng.integers(0, model.num_classes, size=m)
+        if zeros:  # pre-activations of exactly +-0 at the ReLU boundary
+            batch[::2] = 0.0
+            for layer in model.backbone:
+                layer.bias[::2] = -0.0
+        loss, grads = model.loss_and_grads(batch, labels, frozen)
+        ref_loss, ref_grads = reference_loss_and_grads(model, batch, labels, frozen)
+        assert np.array_equal(loss, ref_loss)
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+        _, _, h, f, logits = reference_forward(model, batch)
+        for got, want in zip(model.forward(batch), (h, f, logits)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(model.extract_features(batch, "input"), h)
+        assert np.array_equal(model.extract_features(batch, "output"), f)
 
 
 class TestLossAndGrads:

@@ -320,16 +320,31 @@ class TestBaselineAndComparison:
         assert record.phase == "baseline"
         assert not np.array_equal(w_before, model.eigenlayer)
 
+    def test_baseline_rejects_negative_n_rri_before_training(self, small_data):
+        model = small_model(small_data)
+        before = [p.tobytes() for _, p in model.param_items()]
+        with pytest.raises(ValidationError, match="n_rri"):
+            run_baseline(model, small_data, small_schedule(), n_rri=-1)
+        assert [p.tobytes() for _, p in model.param_items()] == before
+
+    def test_baseline_with_zero_iterations_scores_the_given_model(self, small_data):
+        model = small_model(small_data)
+        before = model.copy()
+        model, record = run_baseline(model, small_data, small_schedule(), n_rri=0)
+        assert (record.rri_index, record.phase) == (0, "baseline")
+        assert record.s_of_w == s_of_w(before.eigenlayer)
+        assert_same_params(before, model)
+
     def test_comparison_one_row_per_method(self, small_data):
         sched = small_schedule(max_rri=1)
         methods = {DecorrMethod.US, DecorrMethod.ORIG}
         rows = run_decorr_comparison(small_data, sched, methods=methods, hidden_dims=(16, 12), eigen_dim=6)
-        assert [r.method for r in rows] == [DecorrMethod.ORIG, DecorrMethod.US]
+        assert [m for m, _ in rows] == [DecorrMethod.ORIG, DecorrMethod.US]
         base, _ = train_step0(small_model(small_data, seed=sched.seed), small_data, sched)
-        for r in rows:
+        for m, r in rows:
             assert 0.0 <= r.map <= 1.0
             assert 0.0 <= r.rank1 <= 1.0
-            _, trace = run_rri(base.copy(), small_data, sched, method=r.method)
+            _, trace = run_rri(base.copy(), small_data, sched, method=m)
             assert (r.rank1, r.map) == (trace.records[-1].rank1, trace.records[-1].map)
 
     def test_baseline_takes_as_many_sgd_steps_as_rri_training(self, small_data, monkeypatch):
