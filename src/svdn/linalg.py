@@ -15,9 +15,13 @@ import numpy as np
 from .errors import DegeneracyError, NumericError, ValidationError
 
 # pairwise_sq_dist recomputes, from the row difference, every entry smaller
-# than this share of |x|^2 + |y|^2, in chunks of this many row pairs.
+# than this share of |x|^2 + |y|^2, in chunks of this many row pairs.  The
+# expansion and the recompute take a distance block this many entries at a
+# time (256 KiB of float64, at least one row), so the norms and mask scratch
+# they go through stays in L2.
 _CANCELLATION = 2.0**-20
 _RECOMPUTE_CHUNK = 4096
+_EPILOGUE_ENTRIES = 1 << 15
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -107,6 +111,9 @@ def pairwise_sq_dist(a, b) -> np.ndarray:
       sum of squares;
     * when ``a is b`` the result is exactly symmetric with a zero
       diagonal.
+
+    Rows whose squared norms could overflow float64 somewhere in the
+    expansion raise NumericError instead of giving inf or NaN entries.
     """
     same = a is b
     a = as_matrix(a, "a")
@@ -120,29 +127,45 @@ def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, rows: int):
     """Yield :func:`pairwise_sq_dist` of each consecutive ``rows``-row
     slice of ``a`` against all of ``b``, for inputs already checked.
 
-    The squared norms and ``b.T`` are taken once, and every block is
-    written into the same ``rows x len(b)`` distance, norms and mask
-    buffers, so a caller must be done with a block before it asks for
-    the next.  The one-block case (``rows >= len(a)``) with ``a is b``
-    hands BLAS the product of a matrix with its own transpose, which it
-    computes exactly symmetric."""
+    The squared norms and ``b.T`` are taken once, and every block's
+    product is written into the same ``rows x len(b)`` distance buffer,
+    so a caller must be done with a block before it asks for the next.
+    The expansion and recompute then run over sub-chunks of about
+    ``_EPILOGUE_ENTRIES`` entries (at least one row) through one norms
+    and one mask scratch of that size; each entry goes through the same
+    operations as in a one-pass epilogue, so it keeps its bits.  The
+    one-block case (``rows >= len(a)``) with ``a is b`` hands BLAS the
+    product of a matrix with its own transpose, which it computes
+    exactly symmetric.
+
+    Raises NumericError when ``2 * (max |x|^2 + max |y|^2)``, which
+    bounds every product, norm sum and distance, is not finite."""
     a2 = np.einsum("ij,ij->i", a, a)
     b2 = a2 if a is b else np.einsum("ij,ij->i", b, b)
+    a2_max, b2_max = float(a2.max()), float(b2.max())
+    if not np.isfinite(2.0 * (a2_max + b2_max)):
+        raise NumericError(
+            f"squared distances overflow float64: largest squared row norms {a2_max:.6g} and {b2_max:.6g}"
+        )
     bt = b.T
-    shape = (min(rows, a.shape[0]), b.shape[0])
-    d_buf, norms_buf, mask_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    height = min(rows, a.shape[0])
+    d_buf = np.empty((height, b.shape[0]))
+    sub = max(1, min(height, _EPILOGUE_ENTRIES // b.shape[0]))
+    norms_buf, mask_buf = np.empty((sub, b.shape[0])), np.empty((sub, b.shape[0]), dtype=bool)
     for start in range(0, a.shape[0], rows):
         block = a[start : start + rows]
-        n = block.shape[0]
-        d, norms, mask = d_buf[:n], norms_buf[:n], mask_buf[:n]
+        d = d_buf[: block.shape[0]]
         np.matmul(block, bt, out=d)
-        d *= -2.0
-        np.add.outer(a2[start : start + n], b2, out=norms)
-        d += norms
-        norms *= _CANCELLATION
-        close = np.flatnonzero(np.less_equal(d, norms, out=mask))
-        for lo in range(0, close.size, _RECOMPUTE_CHUNK):
-            i, j = np.divmod(close[lo : lo + _RECOMPUTE_CHUNK], d.shape[1])
-            diff = block[i] - b[j]
-            d[i, j] = np.einsum("ij,ij->i", diff, diff)
+        for s in range(0, block.shape[0], sub):
+            ds = d[s : s + sub]
+            norms, mask = norms_buf[: ds.shape[0]], mask_buf[: ds.shape[0]]
+            ds *= -2.0
+            np.add.outer(a2[start + s : start + s + ds.shape[0]], b2, out=norms)
+            ds += norms
+            norms *= _CANCELLATION
+            close = np.flatnonzero(np.less_equal(ds, norms, out=mask))
+            for lo in range(0, close.size, _RECOMPUTE_CHUNK):
+                i, j = np.divmod(close[lo : lo + _RECOMPUTE_CHUNK], ds.shape[1])
+                diff = block[s + i] - b[j]
+                ds[i, j] = np.einsum("ij,ij->i", diff, diff)
         yield d

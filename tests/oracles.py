@@ -224,3 +224,25 @@ def csv_dataset_text(dataset):
         row = [int(dataset.ids[i]), int(dataset.cameras[i]), str(dataset.split[i])]
         writer.writerow(row + [repr(float(v)) for v in dataset.features[i]])
     return out.getvalue()
+
+
+def reference_sq_dist_blocks(a, b, rows):
+    """The one-pass distance epilogue: each ``rows``-row block of ``a``
+    gets its product with ``b.T``, then the expansion, the cancellation
+    test and the recompute run over the whole block through full-size
+    norms and mask arrays.  Yields each block; a sub-chunked epilogue must
+    reproduce every bit.  2**-20 is the library's cancellation share."""
+    a2 = np.einsum("ij,ij->i", a, a)
+    b2 = a2 if a is b else np.einsum("ij,ij->i", b, b)
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        d = np.empty((block.shape[0], b.shape[0]))
+        np.matmul(block, b.T, out=d)
+        d *= -2.0
+        norms = np.add.outer(a2[start : start + block.shape[0]], b2)
+        d += norms
+        norms *= 2.0**-20
+        i, j = np.nonzero(d <= norms)
+        diff = block[i] - b[j]
+        d[i, j] = np.einsum("ij,ij->i", diff, diff)
+        yield d

@@ -245,6 +245,21 @@ class TestEval:
         ])
         assert rc == 0
 
+    def test_overflowing_distances_exit_3_naming_norms(self, tmp_path, config_path, trained, capsys):
+        # finite features of about 1e160 whose squared norms overflow float64
+        model = load_checkpoint(trained / "ckpt_final.svdn")
+        model.backbone[-1].weight[...] *= 1e160
+        model.backbone[-1].bias[...] *= 1e160
+        ckpt = tmp_path / "huge.svdn"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "eval_huge"
+        rc = main(["eval", "--config", str(config_path), "--out", str(out), "--ckpt", str(ckpt), "--feature", "input"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err and "squared row norms inf and inf" in err
+        assert "Traceback" not in err
+        assert not (out / "report.csv").exists()
+
 
 @pytest.mark.parametrize("layer", ["eigenlayer", "backbone0.weight", "classifier.bias"])
 @pytest.mark.parametrize("command", ["eval", "diagnose"])

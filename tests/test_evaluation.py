@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from svdn import evaluation
 from svdn.decorrelate import DecorrMethod, apply
-from svdn.errors import DegeneracyError, ValidationError
+from svdn.errors import DegeneracyError, NumericError, ValidationError
 from svdn.evaluation import (
     QUERY_BLOCK,
     RankingReport,
@@ -326,6 +326,29 @@ class TestEvaluateFeatures:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_peak_memory_is_one_distance_block_plus_scratch(self):
+        # one 64 x 5000 float64 distance block is 2.44 MiB; a full-size
+        # norms array and mask beside it would add another 2.75 MiB
+        n_query, n_gallery, dim = 1000, 5000, 32
+        ds = manual_dataset(
+            np.arange(n_query) % 500, np.zeros(n_query, dtype=int), np.arange(n_gallery) % 500, np.ones(n_gallery, dtype=int)
+        )
+        rng = np.random.default_rng(0)
+        q, g = rng.normal(size=(n_query, dim)), rng.normal(size=(n_gallery, dim))
+        tracemalloc.start()
+        try:
+            evaluate_features(ds, q, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= QUERY_BLOCK * n_gallery * 8 + 2.5 * 2**20
+
+    def test_overflowing_distances_raise_naming_norms(self):
+        ds = manual_dataset([0, 1], [0, 0], [0, 1, 0], [1, 1, 1])
+        q, g = [[1e200, 0.0], [0.0, 1.0]], [[1e200, 1.0], [0.0, 2.0], [3.0, 0.0]]
+        with pytest.raises(NumericError, match="overflow.*squared row norms inf and inf"):
+            evaluate_features(ds, q, g)
 
     def test_shape_mismatch_rejected(self):
         ds, q, g = tie_heavy_case(seed=0, n_query=4, n_gallery=9)

@@ -1,12 +1,17 @@
+import re
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdn.errors import DegeneracyError, ValidationError
+from svdn import linalg
+from svdn.errors import DegeneracyError, NumericError, ValidationError
 from svdn.linalg import SvdFactors, _sq_dist_blocks, pairwise_sq_dist, qr, svd
 
-from oracles import jacobi_eigenvalues, loop_sq_dists
+from oracles import jacobi_eigenvalues, loop_sq_dists, reference_sq_dist_blocks
 
 
 def random_matrix(n, k, seed, scale=1.0):
@@ -210,3 +215,62 @@ class TestPairwiseSqDist:
         self_d = pairwise_sq_dist(a, a)
         assert np.array_equal(self_d, self_d.T)
         assert np.all(np.diag(self_d) == 0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 30),
+        k=st.integers(1, 20),
+        rows=st.integers(1, 48),
+        widths=st.integers(1, 3),
+        same=st.booleans(),
+        offset=st.sampled_from([0.0, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sub_chunked_epilogue_keeps_every_bit(self, n, m, k, rows, widths, same, offset, seed):
+        """With a scratch of 1-3 gallery rows every block's epilogue runs in
+        1-row or ragged sub-chunks; exact and near duplicates of rows from
+        anywhere in ``a`` (so in later sub-chunks too) and the zero diagonal
+        of ``a is b`` drive the recompute, which must take each sub-chunk's
+        own query rows.  Every block equals the one-pass epilogue's."""
+        rng = np.random.default_rng(seed)
+        a = offset + rng.normal(size=(n, k))
+        b = a if same else offset + rng.normal(size=(m, k))
+        if not same:
+            for j in range(m):
+                if rng.random() < 0.5:
+                    b[j] = a[rng.integers(n)] + rng.choice([0.0, 1e-7]) * rng.normal(size=k)
+        with mock.patch.object(linalg, "_EPILOGUE_ENTRIES", widths * b.shape[0]):
+            for got, want in zip(_sq_dist_blocks(a, b, rows), reference_sq_dist_blocks(a, b, rows), strict=True):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "a, b, largest",
+        [
+            ([[1e200, 0.0], [0.0, 1.0]], [[1e200, 1.0], [0.0, 2.0], [3.0, 0.0]], "inf and inf"),
+            ([[1e154, 0.0]], [[0.0, 1e154], [1.0, 1.0]], "1e+308 and 1e+308"),
+        ],
+    )
+    def test_overflowing_norms_raise_naming_both(self, a, b, largest):
+        # each squared norm of the second case is finite; 2 * (|x|^2 + |y|^2) is not
+        with pytest.raises(NumericError, match=f"overflow.*{re.escape(largest)}"):
+            pairwise_sq_dist(a, b)
+
+    def test_largest_norms_that_fit_give_finite_distances(self):
+        a, b = np.array([[1e153, 0.0], [0.0, 1.0]]), np.array([[0.0, 1e153], [1e153, 1.0]])
+        d = pairwise_sq_dist(a, b)
+        assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
+        assert d[0, 0] == 2e306
+
+    def test_peak_memory_is_the_output_plus_scratch(self):
+        # the output alone is 600 x 2000 float64, 9.16 MiB; a full-size
+        # norms array and mask beside it would add another 10.3 MiB
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(600, 16)), rng.normal(size=(2000, 16))
+        tracemalloc.start()
+        try:
+            pairwise_sq_dist(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * 2000 * 8 + 2**20
