@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -41,10 +40,12 @@ from .evaluation import (
 )
 from .network import build_model, load_checkpoint, save_checkpoint
 from .trainer import (
-    CHECKPOINT_PHASES,
+    CHECKPOINT_GLOB,
+    FINAL_CHECKPOINT,
     PHASE_STEP0,
     checkpoint_name,
     evaluate_model,
+    parse_checkpoint_name,
     run_decorr_comparison,
     run_dim_sweep,
     run_rri,
@@ -53,9 +54,6 @@ from .trainer import (
     write_trace,
 )
 from .diagnostics import s_of_w
-
-_CKPT_NAME = re.compile(r"ckpt_rri(\d+)_([a-z0-9]+)\.svdn$")
-_PHASE_ORDER = {phase: i for i, phase in enumerate(CHECKPOINT_PHASES)}
 
 
 def _gen_params(args) -> dict:
@@ -119,7 +117,7 @@ def cmd_train(args, out, cfg, data) -> None:
     model, trace = run_rri(model, data, schedule, feature=cfg.feature, out_dir=out)
     trace.records.insert(0, step0_record)
     write_trace(trace, out / "trace.csv")
-    save_checkpoint(model, out / "ckpt_final.svdn")
+    save_checkpoint(model, out / FINAL_CHECKPOINT)
 
     last = trace.records[-1]
     print(f"completed {last.rri_index} iteration(s), converged={trace.converged}")
@@ -147,43 +145,26 @@ def cmd_eval(args, out, cfg, data) -> None:
     print(format_report(report), end="")
 
 
-def _collect_checkpoints(paths: list[str]) -> list[tuple[Path, str, str]]:
-    """Each checkpoint with the RRI index and phase parsed from its name
-    ("" for a name without them), in training order, named ones first.
-    A directory contributes its ``ckpt_*.svdn`` files and must hold one."""
+def _collect_checkpoints(paths: list[str]) -> list[Path]:
+    """The checkpoint files in training order (``parse_checkpoint_name``).
+    A directory contributes its ``CHECKPOINT_GLOB`` files and must hold one."""
     found: list[Path] = []
     for p in paths:
         path = Path(p)
-        if path.is_dir():
-            in_dir = sorted(path.glob("ckpt_*.svdn"))
-            if not in_dir:
-                raise ValidationError(f"no ckpt_*.svdn checkpoint in directory {p}")
-            found.extend(in_dir)
-        else:
-            found.append(path)
-    named = []
-    for path in found:
-        m = _CKPT_NAME.search(path.name)
-        named.append((path, *m.groups()) if m else (path, "", ""))
-
-    def sort_key(item):
-        path, rri_index, phase = item
-        if rri_index:
-            return (0, int(rri_index), _PHASE_ORDER.get(phase, 9), path.name)
-        return (1, 0, 0, path.name)
-    return sorted(named, key=sort_key)
+        files = list(path.glob(CHECKPOINT_GLOB)) if path.is_dir() else [path]
+        if not files:
+            raise ValidationError(f"no {CHECKPOINT_GLOB} checkpoint in directory {p}")
+        found.extend(files)
+    return sorted(found, key=lambda path: parse_checkpoint_name(path.name)[2])
 
 
 def cmd_diagnose(args, out, cfg, data) -> None:
     rows = []
-    for path, rri_index, phase in _collect_checkpoints(args.checkpoints):
+    for path in _collect_checkpoints(args.checkpoints):
         model = _load_model(path, cfg, data)
         score = s_of_w(model.eigenlayer)
-        rank1 = mean_ap = ""
-        if data is not None:
-            r1, ap = evaluate_model(model, data, cfg.feature)
-            rank1, mean_ap = repr(r1), repr(ap)
-        rows.append((str(path), rri_index, phase, repr(score), rank1, mean_ap))
+        rank1, mean_ap = map(repr, evaluate_model(model, data, cfg.feature)) if data is not None else ("", "")
+        rows.append((str(path), *parse_checkpoint_name(path.name)[:2], repr(score), rank1, mean_ap))
         extra = f" rank1={rank1} map={mean_ap}" if data is not None else ""
         print(f"{path.name}: s_of_w={score!r}{extra}")
     write_csv(out / "diagnose.csv", ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
@@ -246,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command(
         "train",
         cmd_train,
-        {"trace": "trace.csv", "step0_checkpoint": checkpoint_name(0, PHASE_STEP0), "final_checkpoint": "ckpt_final.svdn"},
+        {"trace": "trace.csv", "step0_checkpoint": checkpoint_name(0, PHASE_STEP0), "final_checkpoint": FINAL_CHECKPOINT},
         "required",
         "step 0 plus restraint/relaxation iterations",
     )

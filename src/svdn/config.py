@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ValidationError, read_text
-from .network import FEATURE_KINDS
-from .trainer import RriSchedule
+from .network import DEFAULT_FEATURE, FEATURE_KINDS
+from .trainer import DEFAULT_EIGEN_DIM, DEFAULT_HIDDEN_DIMS, RriSchedule
 
 
 @dataclass
 class RunConfig:
     schedule: RriSchedule = field(default_factory=RriSchedule)
-    hidden_dims: tuple[int, ...] = (128, 128)
-    eigen_dim: int = 64
-    feature: str = "input"
+    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
+    eigen_dim: int = DEFAULT_EIGEN_DIM
+    feature: str = DEFAULT_FEATURE
     dataset: str | None = None
 
     def validate(self) -> "RunConfig":

@@ -362,9 +362,15 @@ def evaluate_features(dataset: RetrievalDataset, query_feats, gallery_feats) -> 
 
 
 def l2_normalize(feats) -> np.ndarray:
-    """Row-wise unit normalization; zero rows are left untouched."""
+    """Row-wise unit normalization; zero rows are left untouched.  Range-safe: a row whose
+    norm overflows or falls below sqrt(tiny) is first divided by its largest absolute entry."""
     feats = as_matrix(feats, "feats")
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    extreme = (norms == np.inf) | ((norms < np.sqrt(np.finfo(np.float64).tiny)) & feats.any(axis=1, keepdims=True))
+    if extreme.any():  # the other rows are divided by 1.0, which keeps their bits
+        feats = feats / np.where(extreme, np.abs(feats).max(axis=1, keepdims=True), 1.0)
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats / np.where(norms == 0.0, 1.0, norms)
 
 

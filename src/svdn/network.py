@@ -30,6 +30,7 @@ _ROLE_EIGENLAYER = 1
 _ROLE_CLASSIFIER = 2
 
 FEATURE_KINDS = ("input", "output")
+DEFAULT_FEATURE = "input"
 
 
 @dataclass
@@ -264,10 +265,8 @@ def save_checkpoint(model: EigenModel, path) -> None:
         rows, cols = weight.shape
         blob += struct.pack("<BII", role, rows, cols)
         blob += np.ascontiguousarray(weight, dtype="<f8").tobytes()
-        if bias is None:
-            blob += struct.pack("<B", 0)
-        else:
-            blob += struct.pack("<B", 1)
+        blob += struct.pack("<B", bias is not None)
+        if bias is not None:
             blob += np.ascontiguousarray(bias, dtype="<f8").tobytes()
     with open_artifact(path, "wb") as fh:
         fh.write(blob)
@@ -310,11 +309,9 @@ def load_checkpoint(path) -> EigenModel:
     roles = [role for role, _, _ in parsed]
     if roles[:-2].count(_ROLE_BACKBONE) != len(roles) - 2 or roles[-2:] != [_ROLE_EIGENLAYER, _ROLE_CLASSIFIER]:
         raise ValidationError(f"{path}: unexpected layer roles {roles}")
-    backbone = []
-    for role, weight, bias in parsed[:-2]:
-        if bias is None:
-            raise ValidationError(f"{path}: backbone layer missing bias")
-        backbone.append(AffineLayer(weight, bias))
+    if any(bias is None for _, _, bias in parsed[:-2]):
+        raise ValidationError(f"{path}: backbone layer missing bias")
+    backbone = [AffineLayer(weight, bias) for _, weight, bias in parsed[:-2]]
     _, eigen_w, eigen_b = parsed[-2]
     if eigen_b is not None:
         raise ValidationError(f"{path}: eigenlayer must not carry a bias")

@@ -21,7 +21,8 @@ the training loss and retrieval quality, and writes a checkpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
-from .network import EigenModel, _flatten, _grads_into, build_model, save_checkpoint
+from .network import DEFAULT_FEATURE, EigenModel, _flatten, _grads_into, build_model, save_checkpoint
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -39,6 +40,28 @@ PHASE_RESTRAINT = "restraint"
 PHASE_RELAXATION = "relaxation"
 PHASE_BASELINE = "baseline"
 CHECKPOINT_PHASES = (PHASE_STEP0, PHASE_DECORRELATE, PHASE_RESTRAINT, PHASE_RELAXATION)  # in run order
+CHECKPOINT_GLOB = "ckpt_*.svdn"  # every checkpoint file of a run, the final one included
+FINAL_CHECKPOINT = "ckpt_final.svdn"
+_CHECKPOINT_NAME = re.compile(r"ckpt_rri(\d+)_([a-z0-9]+)\.svdn$")  # searched, so a prefix is allowed
+DEFAULT_HIDDEN_DIMS = (128, 128)  # model shape of a run config that sets none
+DEFAULT_EIGEN_DIM = 64
+
+
+def checkpoint_name(rri_index: int, phase: str) -> str:
+    """File name of the checkpoint written at the end of a phase."""
+    return f"ckpt_rri{rri_index}_{phase}.svdn"
+
+
+def parse_checkpoint_name(name: str) -> tuple[str, str, tuple]:
+    """Inverse of ``checkpoint_name``: the RRI index as written and the phase
+    (``""`` if ``name`` has neither), and a key that sorts by iteration, then
+    phase in run order (unknown ones last), with other names after all, by name."""
+    m = _CHECKPOINT_NAME.search(name)
+    if m is None:
+        return "", "", (1, name)
+    rri_index, phase = m.groups()
+    order = CHECKPOINT_PHASES.index(phase) if phase in CHECKPOINT_PHASES else len(CHECKPOINT_PHASES)
+    return rri_index, phase, (0, int(rri_index), order, name)
 
 
 @dataclass
@@ -93,11 +116,7 @@ class RriTrace:
 def write_trace(trace: RriTrace, path) -> None:
     """Trace CSV with one row per phase record; floats via repr() so two
     identical runs produce identical bytes."""
-    write_csv(
-        path,
-        TRACE_COLUMNS,
-        ([repr(v) if isinstance(v, float) else v for v in (getattr(r, c) for c in TRACE_COLUMNS)] for r in trace.records),
-    )
+    write_csv(path, TRACE_COLUMNS, ([repr(v) if isinstance(v, float) else v for v in astuple(r)] for r in trace.records))
 
 
 def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int]:
@@ -113,17 +132,12 @@ def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int
     return X, y, int(classes.size)
 
 
-def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = "input") -> tuple[float, float]:
+def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = DEFAULT_FEATURE) -> tuple[float, float]:
     """(rank-1, mAP) of the model's retrieval features on the dataset."""
     qf = model.extract_features(data.query_features, feature)
     gf = model.extract_features(data.gallery_features, feature)
     report = evaluate_features(data, qf, gf)
     return float(report.cmc[0]), report.map
-
-
-def checkpoint_name(rri_index: int, phase: str) -> str:
-    """File name of the checkpoint written at the end of a phase."""
-    return f"ckpt_rri{rri_index}_{phase}.svdn"
 
 
 def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> list[tuple]:
@@ -195,7 +209,7 @@ def train_step0(
     model: EigenModel,
     data: RetrievalDataset,
     schedule: RriSchedule,
-    feature: str = "input",
+    feature: str = DEFAULT_FEATURE,
     out_dir=None,
 ) -> tuple[EigenModel, PhaseRecord]:
     """Initial fine-tuning with every parameter free."""
@@ -209,7 +223,7 @@ def run_rri(
     data: RetrievalDataset,
     schedule: RriSchedule,
     method: DecorrMethod = DecorrMethod.US,
-    feature: str = "input",
+    feature: str = DEFAULT_FEATURE,
     out_dir=None,
 ) -> tuple[EigenModel, RriTrace]:
     """Restraint/relaxation iterations on a model that finished step 0.
@@ -237,7 +251,7 @@ def run_baseline(
     data: RetrievalDataset,
     schedule: RriSchedule,
     n_rri: int,
-    feature: str = "input",
+    feature: str = DEFAULT_FEATURE,
 ) -> tuple[EigenModel, PhaseRecord]:
     """Equal-epoch control: ``run_rri``'s phases over ``n_rri`` iterations
     with no weight replacement and nothing frozen, recorded once at the
@@ -254,9 +268,9 @@ def run_decorr_comparison(
     data: RetrievalDataset,
     schedule: RriSchedule,
     methods=None,
-    hidden_dims=(128, 128),
-    eigen_dim: int = 64,
-    feature: str = "input",
+    hidden_dims=DEFAULT_HIDDEN_DIMS,
+    eigen_dim: int = DEFAULT_EIGEN_DIM,
+    feature: str = DEFAULT_FEATURE,
 ) -> list[tuple[DecorrMethod, PhaseRecord]]:
     """Train one model per replacement method (identical init and step 0,
     thanks to the shared seed).  Returns ``(method, final RRI record)`` per
@@ -279,8 +293,8 @@ def run_dim_sweep(
     data: RetrievalDataset,
     schedule: RriSchedule,
     dims,
-    hidden_dims=(128, 128),
-    feature: str = "input",
+    hidden_dims=DEFAULT_HIDDEN_DIMS,
+    feature: str = DEFAULT_FEATURE,
 ) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
     """Train one model per eigenlayer width: step 0, then RRI from one copy
     and the equal-epoch ``run_baseline`` control (as many iterations as RRI

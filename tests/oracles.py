@@ -6,6 +6,7 @@ loops, textbook iterations) so it shares no code path with the library.
 
 import csv
 import io
+import re
 
 import numpy as np
 
@@ -246,3 +247,27 @@ def reference_sq_dist_blocks(a, b, rows):
         diff = block[i] - b[j]
         d[i, j] = np.einsum("ij,ij->i", diff, diff)
         yield d
+
+
+_REFERENCE_CKPT_NAME = re.compile(r"ckpt_rri(\d+)_([a-z0-9]+)\.svdn$")
+_REFERENCE_PHASES = ("step0", "decorrelate", "restraint", "relaxation")
+
+
+def reference_checkpoint_order(names):
+    """``(name, rri_index, phase)`` for each name in the order ``svdn
+    diagnose`` lists checkpoints: named files (pattern searched anywhere in
+    the name) by iteration, then phase in run order with unknown phases
+    last, then name; every other file after them by name."""
+    rows = []
+    for name in names:
+        m = _REFERENCE_CKPT_NAME.search(name)
+        rows.append((name, *m.groups()) if m else (name, "", ""))
+
+    def key(row):
+        name, rri_index, phase = row
+        if not rri_index:
+            return (1, 0, 0, name)
+        order = _REFERENCE_PHASES.index(phase) if phase in _REFERENCE_PHASES else 99
+        return (0, int(rri_index), order, name)
+
+    return sorted(rows, key=key)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from svdn.cli import main
 from svdn.config import CONFIG_KEYS, RunConfig
 from svdn.evaluation import load_dataset
 from svdn.network import load_checkpoint, save_checkpoint
+from svdn.trainer import checkpoint_name
 
 CFG = """
 dataset = {dataset}
@@ -86,6 +88,25 @@ class TestTrain:
         assert lines[0] == "rri_index,phase,s_of_w,train_loss,rank1,map"
         assert lines[1].startswith("0,step0,")
         assert lines[2].startswith("1,decorrelate,")
+
+    def test_decorrelate_rows_repeat_the_previous_retrieval_text(self, trained):
+        # feature=input, and US rewrites only the eigenlayer, so retrieval cannot move
+        rows = [line.split(",") for line in (trained / "trace.csv").read_text().splitlines()[1:]]
+        decorrelate = [i for i, row in enumerate(rows) if row[1] == "decorrelate"]
+        assert len(decorrelate) == 2
+        for i in decorrelate:
+            assert rows[i][4:] == rows[i - 1][4:]  # rank1, map
+
+    def test_decorrelate_checkpoints_keep_the_singular_values(self, trained):
+        rows = [line.split(",")[:2] for line in (trained / "trace.csv").read_text().splitlines()[1:]]
+        pairs = [(before, after) for before, after in zip(rows, rows[1:]) if after[1] == "decorrelate"]
+        assert len(pairs) == 2
+        for before, after in pairs:
+            s_before, s_after = (
+                np.linalg.svd(load_checkpoint(trained / checkpoint_name(int(t), phase)).eigenlayer, compute_uv=False)
+                for t, phase in (before, after)
+            )
+            np.testing.assert_allclose(s_after, s_before, rtol=1e-12, atol=0)
 
     def test_byte_identical_reruns(self, tmp_path, config_path, trained):
         out2 = tmp_path / "again"
@@ -311,6 +332,50 @@ class TestDiagnose:
         assert main(["diagnose", "--out", str(out), str(runs)]) == 0
         rows = (out / "diagnose.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == [str(runs / "ckpt_rri0_step0.svdn"), str(runs / "ckpt_final.svdn")]
+
+    def test_file_list_in_training_order(self, tmp_path, config_path, trained, capsys):
+        # iteration, then phase in run order (unknown last), then name; unnamed files after all, by name
+        expected = [
+            "ckpt_rri0_step0.svdn",
+            "ckpt_rri1_decorrelate.svdn",
+            "ckpt_rri01_restraint.svdn",
+            "ckpt_rri1_restraint.svdn",
+            "ckpt_rri1_relaxation.svdn",
+            "ckpt_rri1_warmup.svdn",
+            "x_ckpt_rri2_step0.svdn",
+            "ckpt_rri2_decorrelate.svdn",
+            "ckpt_rri2_restraint.svdn",
+            "ckpt_rri2_relaxation.svdn",
+            "ckpt_rri10_step0.svdn",
+            "best.svdn",
+            "ckpt_final.svdn",
+        ]
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in expected:
+            source = trained / name if (trained / name).exists() else trained / "ckpt_rri1_relaxation.svdn"
+            (runs / name).write_bytes(source.read_bytes())
+        diagnose = ["diagnose", "--config", str(config_path), "--out"]
+        header = "checkpoint,rri_index,phase,s_of_w,rank1,map\n"
+        rows, printed = [], ""
+        for i, name in enumerate(expected):  # one run per file gives each file's row and line
+            assert main([*diagnose, str(tmp_path / f"one{i}"), str(runs / name)]) == 0
+            printed += capsys.readouterr().out
+            head, row = (tmp_path / f"one{i}" / "diagnose.csv").read_text().splitlines(keepends=True)
+            assert head == header
+            rows.append(row)
+        shuffled = expected[:]
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != expected
+        out = tmp_path / "all"
+        assert main([*diagnose, str(out), *(str(runs / name) for name in shuffled)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (out / "diagnose.csv").read_text() == header + "".join(rows)
+        cells = {row.split(",")[0].split("/")[-1]: row.split(",")[1:3] for row in rows}
+        assert cells["x_ckpt_rri2_step0.svdn"] == ["2", "step0"]
+        assert cells["ckpt_rri01_restraint.svdn"] == ["01", "restraint"]
+        assert cells["ckpt_rri1_warmup.svdn"] == ["1", "warmup"]
+        assert cells["best.svdn"] == cells["ckpt_final.svdn"] == ["", ""]
 
     def test_directory_without_checkpoints_exits_2_naming_it(self, tmp_path, capsys):
         empty = tmp_path / "empty"

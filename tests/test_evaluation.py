@@ -565,3 +565,29 @@ class TestL2Normalize:
         assert np.allclose(out[0], [0.6, 0.8])
         assert np.array_equal(out[1], [0.0, 0.0])
         assert np.allclose(out[2], [0.0, 1.0])
+
+    def test_rows_outside_the_squared_range_come_out_unit(self):
+        x = [[1e200, 0.0], [0.0, 1.0], [1e-200, 0.0], [3e-160, 4e-160]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize(x)
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.6, 0.8]], rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 1e-300, 1e-160, 1e-100, 1.0, 1e100, 1e154, 1e300]), min_size=1, max_size=6),
+    )
+    def test_every_nonzero_row_has_unit_norm_and_ordinary_rows_keep_their_bits(self, seed, scales):
+        x = np.random.default_rng(seed).standard_normal((len(scales), 4)) * np.array(scales)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize(x)
+        nonzero = np.array(scales) > 0.0
+        assert not out[~nonzero].any()
+        np.testing.assert_allclose(np.linalg.norm(out[nonzero], axis=1), 1.0, rtol=1e-14)
+        # rows whose squares stay normal floats: the plain division, bit for bit
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+        ordinary = (np.array(scales) >= 1e-100) & (np.array(scales) <= 1e100)
+        assert np.array_equal(out[ordinary], (x / np.where(norms == 0.0, 1.0, norms))[ordinary])

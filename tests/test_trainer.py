@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svdn import decorrelate
 from svdn.decorrelate import DecorrMethod
@@ -7,13 +9,18 @@ from svdn.diagnostics import s_of_w
 from svdn.errors import NumericError, ValidationError
 from svdn.evaluation import RetrievalDataset, generate_synthetic
 from svdn.network import _grads_into, build_model, load_checkpoint
+
+from oracles import reference_checkpoint_order
 from svdn.trainer import (
+    CHECKPOINT_PHASES,
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
     PHASE_RESTRAINT,
     PHASE_STEP0,
     RriSchedule,
     RriTrace,
+    checkpoint_name,
+    parse_checkpoint_name,
     run_baseline,
     run_decorr_comparison,
     run_dim_sweep,
@@ -408,3 +415,49 @@ class TestDimSweep:
         with pytest.raises(ValidationError, match="backbone output width"):
             run_dim_sweep(small_data, small_schedule(), dims, (16, 12))
         assert calls == []
+
+
+class TestCheckpointNames:
+    @pytest.mark.parametrize("phase", CHECKPOINT_PHASES)
+    @pytest.mark.parametrize("t", [0, 1, 2, 9, 10, 15, 123])
+    def test_parse_inverts_format(self, t, phase):
+        rri_index, parsed, _ = parse_checkpoint_name(checkpoint_name(t, phase))
+        assert (rri_index, parsed) == (str(t), phase)
+
+    def test_key_sorts_a_run_in_training_order(self):
+        run = [checkpoint_name(0, CHECKPOINT_PHASES[0])]
+        run += [checkpoint_name(t, phase) for t in range(1, 12) for phase in CHECKPOINT_PHASES[1:]]
+        shuffled = run[::-1] + ["ckpt_final.svdn"]
+        assert sorted(shuffled, key=lambda name: parse_checkpoint_name(name)[2]) == run + ["ckpt_final.svdn"]
+
+    @pytest.mark.parametrize(
+        "name, rri_index, phase",
+        [
+            ("x_ckpt_rri2_step0.svdn", "2", "step0"),
+            ("ckpt_rri01_restraint.svdn", "01", "restraint"),
+            ("ckpt_rri3_warmup.svdn", "3", "warmup"),
+            ("ckpt_final.svdn", "", ""),
+            ("ckpt_rri1_Step0.svdn", "", ""),
+            ("ckpt_rri1_step0.svdn.bak", "", ""),
+            ("ckpt_rri_step0.svdn", "", ""),
+        ],
+    )
+    def test_index_as_written_and_unmatched_names(self, name, rri_index, phase):
+        assert parse_checkpoint_name(name)[:2] == (rri_index, phase)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["ckpt_", "rri", "x_", "0", "1", "01", "10", "2", "_", "step0", "decorrelate", "restraint",
+                     "relaxation", "warmup", "Step0", "final", ".svdn", ".bak"]
+                ),
+                max_size=8,
+            ).map("".join),
+            max_size=12,
+        )
+    )
+    def test_cells_and_order_match_the_reference(self, names):
+        parsed = {name: parse_checkpoint_name(name) for name in names}
+        ordered = sorted(names, key=lambda name: parsed[name][2])
+        assert [(name, *parsed[name][:2]) for name in ordered] == reference_checkpoint_order(names)
