@@ -8,8 +8,7 @@ without any of that shows what the iteration scheme buys.
 
 import numpy as np
 
-from svdn import RriSchedule, build_model, evaluate, generate_synthetic, rank_gallery, run_baseline, run_rri, train_step0
-from svdn.trainer import training_arrays
+from svdn import RriSchedule, evaluate, generate_synthetic, initial_model, rank_gallery, run_baseline, run_rri, train_step0
 
 data = generate_synthetic()
 print(f"benchmark: {data.features.shape[0]} samples, dim {data.dim}, "
@@ -19,11 +18,8 @@ print(f"benchmark: {data.features.shape[0]} samples, dim {data.dim}, "
 raw = evaluate(data, rank_gallery(data.query_features, data.gallery_features))
 print(f"raw-feature retrieval: rank-1 = {raw.cmc[0]:.3f}, mAP = {raw.map:.3f}")
 
-schedule = RriSchedule()
-_, _, classes = training_arrays(data)
-model = build_model(data.dim, (128, 128), 64, classes, schedule.seed)
-
-model, step0 = train_step0(model, data, schedule)
+schedule = RriSchedule()  # (128, 128) backbone, 64-wide eigenlayer
+model, step0 = train_step0(initial_model(data, schedule), data, schedule)
 print(f"\nafter step 0:  s_of_w = {step0.s_of_w:.3f}  rank-1 = {step0.rank1:.3f}  mAP = {step0.map:.3f}")
 print("(the weight columns are still highly correlated -- that is what the iterations fix)\n")
 

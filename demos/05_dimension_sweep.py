@@ -13,7 +13,7 @@ schedule = RriSchedule()
 
 print(f"{'width':>6} {'with iterations':>16} {'plain (equal epochs)':>21}")
 results = []
-for width, final, control in run_dim_sweep(data, schedule, (4, 8, 16, 32, 64, 128), (128, 128)):
+for width, final, control in run_dim_sweep(data, schedule, (4, 8, 16, 32, 64, 128)):
     results.append((width, final.map, control.map))
     print(f"{width:>6} {final.map:>16.4f} {control.map:>21.4f}")
 

@@ -30,6 +30,7 @@ from .trainer import (
     PhaseRecord,
     RriSchedule,
     RriTrace,
+    initial_model,
     run_baseline,
     run_decorr_comparison,
     run_dim_sweep,
@@ -66,6 +67,7 @@ __all__ = [
     "RriSchedule",
     "RriTrace",
     "PhaseRecord",
+    "initial_model",
     "train_step0",
     "run_rri",
     "run_baseline",

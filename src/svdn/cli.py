@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -38,19 +39,19 @@ from .evaluation import (
     save_dataset,
     write_report,
 )
-from .network import build_model, load_checkpoint, save_checkpoint
+from .network import load_checkpoint, save_checkpoint
 from .trainer import (
     CHECKPOINT_GLOB,
     FINAL_CHECKPOINT,
     PHASE_STEP0,
     checkpoint_name,
     evaluate_model,
+    initial_model,
     parse_checkpoint_name,
     run_decorr_comparison,
     run_dim_sweep,
     run_rri,
     train_step0,
-    training_arrays,
     write_trace,
 )
 from .diagnostics import s_of_w
@@ -83,7 +84,7 @@ def _run(args) -> int:
         data = load_dataset(cfg.dataset) if cfg.dataset else None
         if data is not None:
             require_queries(data, f"dataset {cfg.dataset}")  # every command given data scores retrieval
-        seed, config = cfg.schedule.seed, cfg.to_dict()
+        seed, config = cfg.seed, asdict(cfg)
     manifest = {
         "tool": "svdn",
         "version": __version__,
@@ -110,11 +111,8 @@ def cmd_gen(args, out, cfg, data) -> None:
 
 
 def cmd_train(args, out, cfg, data) -> None:
-    schedule = cfg.schedule
-    _, _, c = training_arrays(data)
-    model = build_model(data.dim, cfg.hidden_dims, cfg.eigen_dim, c, schedule.seed)
-    model, step0_record = train_step0(model, data, schedule, cfg.feature, out_dir=out)
-    model, trace = run_rri(model, data, schedule, feature=cfg.feature, out_dir=out)
+    model, step0_record = train_step0(initial_model(data, cfg), data, cfg, out_dir=out)
+    model, trace = run_rri(model, data, cfg, out_dir=out)
     trace.records.insert(0, step0_record)
     write_trace(trace, out / "trace.csv")
     save_checkpoint(model, out / FINAL_CHECKPOINT)
@@ -172,9 +170,7 @@ def cmd_diagnose(args, out, cfg, data) -> None:
 
 def cmd_compare(args, out, cfg, data) -> None:
     methods = None if args.methods is None else [DecorrMethod.from_name(n.strip()) for n in args.methods.split(",")]
-    rows = run_decorr_comparison(
-        data, cfg.schedule, methods=methods, hidden_dims=cfg.hidden_dims, eigen_dim=cfg.eigen_dim, feature=cfg.feature
-    )
+    rows = run_decorr_comparison(data, cfg, methods=methods)
     write_csv(
         out / "comparison.csv", ["method", "rank1", "map"], [[m.value, repr(r.rank1), repr(r.map)] for m, r in rows]
     )
@@ -184,7 +180,7 @@ def cmd_compare(args, out, cfg, data) -> None:
 
 
 def cmd_sweep_dim(args, out, cfg, data) -> None:
-    results = run_dim_sweep(data, cfg.schedule, parse_dims("--dims", args.dims, "flag"), cfg.hidden_dims, cfg.feature)
+    results = run_dim_sweep(data, cfg, parse_dims("--dims", args.dims, "flag"))
     for dim, w, wo in results:
         print(
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "

@@ -113,10 +113,10 @@ class EigenModel:
         eigenlayer output feature, and the classifier scores."""
         return self._outputs(self._eigen_input(self._check_batch(batch)))
 
-    def extract_features(self, batch, which: str = "output") -> np.ndarray:
-        """Retrieval features: the eigenlayer's input (``which="input"``)
-        or its output (``which="output"``), with the same bits as
-        :meth:`forward`."""
+    def extract_features(self, batch, which: str = DEFAULT_FEATURE) -> np.ndarray:
+        """Retrieval features: the eigenlayer's input (``which="input"``,
+        the run default) or its output (``which="output"``), with the same
+        bits as :meth:`forward`."""
         if which not in FEATURE_KINDS:
             raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
         h = self._eigen_input(self._check_batch(batch))

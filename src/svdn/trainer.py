@@ -16,13 +16,19 @@ consecutive changes below ``epsilon_s``) or the iteration budget runs
 out.  Each phase is a tuple of data run by one ``train`` closure.  At
 every phase boundary one ``record`` closure logs the correlation score,
 the training loss and retrieval quality, and writes a checkpoint.
+
+One ``RriSchedule`` holds every setting of a run.  ``initial_model``
+builds a model of its shape; the entry points that are given a model
+train that model and read none of the shape fields, as ``run_rri`` reads
+no ``step0_epochs``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +38,7 @@ from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
-from .network import DEFAULT_FEATURE, EigenModel, _flatten, _grads_into, build_model, save_checkpoint
+from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _flatten, _grads_into, build_model, save_checkpoint
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -43,8 +49,6 @@ CHECKPOINT_PHASES = (PHASE_STEP0, PHASE_DECORRELATE, PHASE_RESTRAINT, PHASE_RELA
 CHECKPOINT_GLOB = "ckpt_*.svdn"  # every checkpoint file of a run, the final one included
 FINAL_CHECKPOINT = "ckpt_final.svdn"
 _CHECKPOINT_NAME = re.compile(r"ckpt_rri(\d+)_([a-z0-9]+)\.svdn$")  # searched, so a prefix is allowed
-DEFAULT_HIDDEN_DIMS = (128, 128)  # model shape of a run config that sets none
-DEFAULT_EIGEN_DIM = 64
 
 
 def checkpoint_name(rri_index: int, phase: str) -> str:
@@ -66,9 +70,11 @@ def parse_checkpoint_name(name: str) -> tuple[str, str, tuple]:
 
 @dataclass
 class RriSchedule:
-    """Hyper-parameters of one training run (epoch counts per phase,
-    per-phase learning rates, the iteration budget, the convergence
-    threshold, and the seed that drives init and batch shuffling)."""
+    """Settings of one training run: epoch counts per phase, per-phase
+    learning rates, the iteration budget, the convergence threshold, the
+    seed that drives init and batch shuffling, the model shape (backbone
+    widths, eigenlayer width) and the retrieval feature scored at every
+    phase boundary."""
 
     step0_epochs: int = 30
     restraint_epochs: int = 20
@@ -80,17 +86,27 @@ class RriSchedule:
     batch_size: int = 32
     epsilon_s: float = 0.01
     seed: int = 4
+    hidden_dims: tuple[int, ...] = (128, 128)
+    eigen_dim: int = 64
+    feature: str = DEFAULT_FEATURE
 
     def validate(self) -> "RriSchedule":
+        """Check every field by the type of its default: integers (seed >= 0,
+        the others >= 1), finite positive numbers, widths, and the feature."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "seed" and not value > 0:
-                bound = ">= 1" if isinstance(f.default, int) else "> 0"
-                raise ValidationError(f"schedule field {f.name} must be {bound}, got {value}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"schedule field {f.name} must be finite, got {value}")
-        if self.seed < 0:
-            raise ValidationError(f"schedule field seed must be >= 0, got {self.seed}")
+            if isinstance(f.default, int):
+                low = 0 if f.name == "seed" else 1
+                if not isinstance(value, Integral) or value < low:
+                    raise ValidationError(f"schedule field {f.name!r} must be an integer >= {low}, got {value!r}")
+            elif isinstance(f.default, float):
+                if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                    raise ValidationError(f"schedule field {f.name!r} must be finite and > 0, got {value!r}")
+            elif isinstance(f.default, tuple):
+                if not isinstance(value, (tuple, list)) or not all(isinstance(d, Integral) and d >= 1 for d in value):
+                    raise ValidationError(f"schedule field {f.name!r} must hold integers >= 1, got {value!r}")
+        if self.feature not in FEATURE_KINDS:
+            raise ValidationError(f"schedule field 'feature' must be one of {FEATURE_KINDS}, got {self.feature!r}")
         return self
 
 
@@ -140,6 +156,14 @@ def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = DEF
     return float(report.cmc[0]), report.map
 
 
+def initial_model(data: RetrievalDataset, schedule: RriSchedule) -> EigenModel:
+    """Fresh model of the schedule's shape for the dataset's width and
+    training identities, initialized from ``schedule.seed``."""
+    schedule.validate()
+    _, _, c = training_arrays(data)
+    return build_model(data.dim, schedule.hidden_dims, schedule.eigen_dim, c, schedule.seed)
+
+
 def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> list[tuple]:
     """One iteration as phases ``(name, replacement method or None, epochs,
     learning rate, eigenlayer frozen)``; ``method=None`` gives the control
@@ -151,7 +175,7 @@ def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> lis
     ]
 
 
-def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, stream: int, feature: str):
+def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, stream: int):
     """Check the schedule and the model against the dataset before any
     training; return this run's ``train`` and ``record`` closures.  ``stream``
     seeds the batch order: 0 for step 0, 1 for the iterations (RRI and its control)."""
@@ -196,7 +220,7 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     def record(name: str, rri_index: int, out_dir=None) -> PhaseRecord:
         """Score the model as phase ``name`` of iteration ``rri_index`` and
         write its checkpoint into ``out_dir``, if given."""
-        rank1, mean_ap = evaluate_model(model, data, feature)
+        rank1, mean_ap = evaluate_model(model, data, schedule.feature)
         result = PhaseRecord(rri_index, name, s_of_w(model.eigenlayer), model.loss(X, y), rank1, mean_ap)
         if out_dir is not None:
             save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
@@ -206,14 +230,10 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
 
 
 def train_step0(
-    model: EigenModel,
-    data: RetrievalDataset,
-    schedule: RriSchedule,
-    feature: str = DEFAULT_FEATURE,
-    out_dir=None,
+    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, out_dir=None
 ) -> tuple[EigenModel, PhaseRecord]:
     """Initial fine-tuning with every parameter free."""
-    train, record = _setup(model, data, schedule, 0, feature)
+    train, record = _setup(model, data, schedule, 0)
     train(None, schedule.step0_epochs, schedule.lr_step0, False)
     return model, record(PHASE_STEP0, 0, out_dir)
 
@@ -223,7 +243,6 @@ def run_rri(
     data: RetrievalDataset,
     schedule: RriSchedule,
     method: DecorrMethod = DecorrMethod.US,
-    feature: str = DEFAULT_FEATURE,
     out_dir=None,
 ) -> tuple[EigenModel, RriTrace]:
     """Restraint/relaxation iterations on a model that finished step 0.
@@ -233,7 +252,7 @@ def run_rri(
     without stabilizing is not an error; the trace just reports
     ``converged=False``.
     """
-    train, record = _setup(model, data, schedule, 1, feature)
+    train, record = _setup(model, data, schedule, 1)
     trace = RriTrace()
     for t in range(1, schedule.max_rri + 1):
         for name, *phase in _iteration_phases(schedule, method):
@@ -247,30 +266,21 @@ def run_rri(
 
 
 def run_baseline(
-    model: EigenModel,
-    data: RetrievalDataset,
-    schedule: RriSchedule,
-    n_rri: int,
-    feature: str = DEFAULT_FEATURE,
+    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, n_rri: int
 ) -> tuple[EigenModel, PhaseRecord]:
     """Equal-epoch control: ``run_rri``'s phases over ``n_rri`` iterations
     with no weight replacement and nothing frozen, recorded once at the
     end.  ``n_rri=0`` scores the model as given."""
     if n_rri < 0:
         raise ValidationError(f"n_rri must be >= 0, got {n_rri}")
-    train, record = _setup(model, data, schedule, 1, feature)
+    train, record = _setup(model, data, schedule, 1)
     for _, *phase in _iteration_phases(schedule, None) * n_rri:
         train(*phase)
     return model, record(PHASE_BASELINE, n_rri)
 
 
 def run_decorr_comparison(
-    data: RetrievalDataset,
-    schedule: RriSchedule,
-    methods=None,
-    hidden_dims=DEFAULT_HIDDEN_DIMS,
-    eigen_dim: int = DEFAULT_EIGEN_DIM,
-    feature: str = DEFAULT_FEATURE,
+    data: RetrievalDataset, schedule: RriSchedule, methods=None
 ) -> list[tuple[DecorrMethod, PhaseRecord]]:
     """Train one model per replacement method (identical init and step 0,
     thanks to the shared seed).  Returns ``(method, final RRI record)`` per
@@ -279,38 +289,30 @@ def run_decorr_comparison(
     ordered = [m for m in DecorrMethod if m in requested]
     if not ordered:
         raise ValidationError("no decorrelation methods requested")
-    _, _, c = training_arrays(data)
-    base = build_model(data.dim, hidden_dims, eigen_dim, c, schedule.seed)
-    base, _ = train_step0(base, data, schedule, feature)
+    base, _ = train_step0(initial_model(data, schedule), data, schedule)
     results = []
     for method in ordered:
-        _, trace = run_rri(base.copy(), data, schedule, method=method, feature=feature)
+        _, trace = run_rri(base.copy(), data, schedule, method=method)
         results.append((method, trace.records[-1]))
     return results
 
 
-def run_dim_sweep(
-    data: RetrievalDataset,
-    schedule: RriSchedule,
-    dims,
-    hidden_dims=DEFAULT_HIDDEN_DIMS,
-    feature: str = DEFAULT_FEATURE,
-) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
-    """Train one model per eigenlayer width: step 0, then RRI from one copy
-    and the equal-epoch ``run_baseline`` control (as many iterations as RRI
-    ran) from another.  Returns ``(width, final RRI record, baseline
-    record)`` per width.  Every width is checked before any training."""
-    n_backbone_out = hidden_dims[-1]
+def run_dim_sweep(data: RetrievalDataset, schedule: RriSchedule, dims) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
+    """Train one model per eigenlayer width, ``schedule`` with ``eigen_dim``
+    replaced: step 0, then RRI from one copy and the equal-epoch
+    ``run_baseline`` control (as many iterations as RRI ran) from another.
+    Returns ``(width, final RRI record, baseline record)`` per width.  Every
+    width is checked before any training."""
+    n_backbone_out = (data.dim, *schedule.hidden_dims)[-1]
     bad = [dim for dim in dims if not 1 <= dim <= n_backbone_out]
     if bad:
         raise ValidationError(f"sweep dims {bad} must lie in 1..{n_backbone_out}, the backbone output width")
-    _, _, c = training_arrays(data)
+    widths = [replace(schedule, eigen_dim=dim).validate() for dim in dims]
     results = []
-    for dim in dims:
-        model = build_model(data.dim, hidden_dims, dim, c, schedule.seed)
-        model, _ = train_step0(model, data, schedule, feature)
-        _, trace = run_rri(model.copy(), data, schedule, feature=feature)
+    for width in widths:
+        model, _ = train_step0(initial_model(data, width), data, width)
+        _, trace = run_rri(model.copy(), data, width)
         with_record = trace.records[-1]
-        _, base_record = run_baseline(model.copy(), data, schedule, with_record.rri_index, feature)
-        results.append((dim, with_record, base_record))
+        _, base_record = run_baseline(model.copy(), data, width, with_record.rri_index)
+        results.append((width.eigen_dim, with_record, base_record))
     return results

@@ -75,10 +75,8 @@ def comparison(default_dataset):
     start = time.perf_counter()
     rows = run_decorr_comparison(
         default_dataset,
-        RriSchedule(),
+        RriSchedule(hidden_dims=DEFAULT_HIDDEN, eigen_dim=DEFAULT_EIGEN),
         methods={DecorrMethod.ORIG, DecorrMethod.US, DecorrMethod.UVT, DecorrMethod.QD},
-        hidden_dims=DEFAULT_HIDDEN,
-        eigen_dim=DEFAULT_EIGEN,
     )
     return dict(rows), time.perf_counter() - start
 
@@ -87,7 +85,7 @@ def comparison(default_dataset):
 def sweep(default_dataset):
     start = time.perf_counter()
     dims = (4, 8, 16, 32, 64, 128)
-    results = run_dim_sweep(default_dataset, RriSchedule(), dims, DEFAULT_HIDDEN)
+    results = run_dim_sweep(default_dataset, RriSchedule(hidden_dims=DEFAULT_HIDDEN), dims)
     with_rri = np.array([final.map for _, final, _ in results])
     without_rri = np.array([control.map for _, _, control in results])
     return dims, with_rri, without_rri, time.perf_counter() - start

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ def _sample_text(key, dataset_path):
     special = {"feature": "output", "dataset": str(dataset_path)}
     if key in special:
         return special[key]
-    default = RunConfig().to_dict()[key]
+    default = asdict(RunConfig())[key]
     if isinstance(default, tuple):
         return ",".join(str(d + 1) for d in default)
     return str(default * 2)
@@ -478,7 +479,7 @@ class TestConfigKeyParity:
         from_file = _diagnose_config(tmp_path, "file", ckpt, "--config", str(cfg))
         from_flag = _diagnose_config(tmp_path, "flag", ckpt, "--" + key.replace("_", "-"), text)
         assert from_file == from_flag
-        defaults = json.loads(json.dumps(RunConfig().to_dict()))
+        defaults = json.loads(json.dumps(asdict(RunConfig())))
         assert {k for k in defaults if defaults[k] != from_flag[k]} == {key}
 
     def test_malformed_value_exits_2_naming_key(self, tmp_path, trained, capsys, monkeypatch, key):

@@ -2,7 +2,6 @@ import pytest
 
 from svdn.config import RunConfig, load_config, override_config, parse_config
 from svdn.errors import ValidationError
-from svdn.trainer import RriSchedule
 
 
 FULL = """
@@ -27,7 +26,7 @@ seed = 9
 
 def test_defaults():
     cfg = parse_config("")
-    assert cfg.schedule == RriSchedule()
+    assert cfg == RunConfig()
     assert cfg.feature == "input"
     assert cfg.dataset is None
 
@@ -38,7 +37,7 @@ def test_full_file():
     assert cfg.hidden_dims == (64, 48)
     assert cfg.eigen_dim == 24
     assert cfg.feature == "output"
-    s = cfg.schedule
+    s = cfg
     assert (s.step0_epochs, s.restraint_epochs, s.relaxation_epochs, s.max_rri) == (5, 3, 2, 4)
     assert (s.lr_step0, s.lr_restraint, s.lr_relaxation) == (0.1, 0.05, 0.02)
     assert (s.batch_size, s.epsilon_s, s.seed) == (16, 0.002, 9)
@@ -90,7 +89,7 @@ def test_load_config_names_file_and_line(tmp_path):
 def test_override_wins_over_file():
     cfg = parse_config(FULL)
     out = override_config(cfg, seed=77, eigen_dim=8, dataset=None)
-    assert out.schedule.seed == 77
+    assert out.seed == 77
     assert out.eigen_dim == 8
     assert out.dataset == "runs/dataset.csv"  # None means "not given"
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from svdn.errors import ValidationError
 from svdn.network import (
     CHECKPOINT_MAGIC,
+    DEFAULT_FEATURE,
     AffineLayer,
     EigenModel,
     build_model,
@@ -79,6 +80,11 @@ class TestForward:
         assert np.array_equal(model.extract_features(batch, "output"), f)
         with pytest.raises(ValidationError):
             model.extract_features(batch, "middle")
+
+    def test_extract_features_defaults_to_the_run_feature(self):
+        model = tiny_model(seed=5)
+        batch, _ = tiny_batch(model, seed=6)
+        assert np.array_equal(model.extract_features(batch), model.extract_features(batch, DEFAULT_FEATURE))
 
     @pytest.mark.parametrize("which", ["input", "output", "loss", "forward"])
     def test_extract_features_peak_memory(self, which):

@@ -20,6 +20,7 @@ from svdn.trainer import (
     RriSchedule,
     RriTrace,
     checkpoint_name,
+    initial_model,
     parse_checkpoint_name,
     run_baseline,
     run_decorr_comparison,
@@ -75,6 +76,34 @@ class TestSchedule:
         with pytest.raises(ValidationError, match=name):
             RriSchedule(**{name: value}).validate()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("step0_epochs", 1.5),
+            ("restraint_epochs", 2.0),
+            ("relaxation_epochs", 1.5),
+            ("max_rri", 3.5),
+            ("batch_size", 2.5),
+            ("seed", 1.5),
+            ("eigen_dim", 6.5),
+            ("hidden_dims", (16, 2.5)),
+            ("hidden_dims", (16, 0)),
+        ],
+    )
+    def test_non_integer_or_non_positive_value_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            RriSchedule(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"])
+    def test_integer_accepted_for_a_rate(self, name):
+        RriSchedule(**{name: 1}).validate()
+
+    def test_initial_model_has_the_schedule_shape(self, small_data):
+        sched = small_schedule(hidden_dims=(16, 12), eigen_dim=6)
+        assert_same_params(initial_model(small_data, sched), small_model(small_data))
+        shallow = initial_model(small_data, small_schedule(hidden_dims=(), eigen_dim=5))
+        assert (shallow.backbone, shallow.eigenlayer.shape) == ([], (small_data.dim, 5))
+
 
 class TestStep0:
     def test_loss_decreases_and_stays_correlated(self, small_data):
@@ -97,6 +126,15 @@ class TestStep0:
                 entry(model, small_data, sched)
             for (_, a), (_, b) in zip(before.param_items(), model.param_items()):
                 assert np.array_equal(a, b)  # rejected before any training
+
+    def test_unknown_feature_rejected_before_any_step(self, small_data):
+        sched = small_schedule(feature="middle")
+        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
+            model = small_model(small_data)
+            before = [p.tobytes() for _, p in model.param_items()]
+            with pytest.raises(ValidationError, match="feature"):
+                entry(model, small_data, sched)
+            assert [p.tobytes() for _, p in model.param_items()] == before
 
     def test_divergence_raises_with_epoch(self, small_data):
         # overflow in the forward pass turns the loss into NaN/inf
@@ -343,9 +381,9 @@ class TestBaselineAndComparison:
         assert_same_params(before, model)
 
     def test_comparison_one_row_per_method(self, small_data):
-        sched = small_schedule(max_rri=1)
+        sched = small_schedule(max_rri=1, hidden_dims=(16, 12), eigen_dim=6)
         methods = {DecorrMethod.US, DecorrMethod.ORIG}
-        rows = run_decorr_comparison(small_data, sched, methods=methods, hidden_dims=(16, 12), eigen_dim=6)
+        rows = run_decorr_comparison(small_data, sched, methods=methods)
         assert [m for m, _ in rows] == [DecorrMethod.ORIG, DecorrMethod.US]
         base, _ = train_step0(small_model(small_data, seed=sched.seed), small_data, sched)
         for m, r in rows:
@@ -399,8 +437,8 @@ class TestTraceCsv:
 
 class TestDimSweep:
     def test_one_row_per_width_matching_separate_runs(self, small_data):
-        schedule = small_schedule(max_rri=1)
-        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (6,), (16, 12))
+        schedule = small_schedule(max_rri=1, hidden_dims=(16, 12))
+        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (6,))
         model, _ = train_step0(small_model(small_data), small_data, schedule)
         _, trace = run_rri(model.copy(), small_data, schedule)
         _, base = run_baseline(model.copy(), small_data, schedule, trace.records[-1].rri_index)
@@ -408,12 +446,20 @@ class TestDimSweep:
         assert final == trace.records[-1]
         assert control == base
 
+    def test_model_without_hidden_layers(self, small_data):
+        schedule = small_schedule(max_rri=1, hidden_dims=())
+        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (small_data.dim,))
+        assert dim == small_data.dim
+        assert (final.phase, control.phase) == (PHASE_RELAXATION, "baseline")
+        with pytest.raises(ValidationError, match=f"1..{small_data.dim}, the backbone output width"):
+            run_dim_sweep(small_data, schedule, (small_data.dim + 1,))
+
     @pytest.mark.parametrize("dims", [(4, 8, 64), (4, 0)])
     def test_bad_last_width_rejected_before_any_training(self, small_data, monkeypatch, dims):
         calls = []
         monkeypatch.setattr("svdn.trainer.train_step0", lambda *a, **k: calls.append(a))
         with pytest.raises(ValidationError, match="backbone output width"):
-            run_dim_sweep(small_data, small_schedule(), dims, (16, 12))
+            run_dim_sweep(small_data, small_schedule(hidden_dims=(16, 12)), dims)
         assert calls == []
 
 
