@@ -161,9 +161,9 @@ def cmd_diagnose(args, out, cfg, data) -> None:
     for path in _collect_checkpoints(args.checkpoints):
         model = _load_model(path, cfg, data)
         score = s_of_w(model.eigenlayer)
-        rank1, mean_ap = map(repr, evaluate_model(model, data, cfg.feature)) if data is not None else ("", "")
-        rows.append((str(path), *parse_checkpoint_name(path.name)[:2], repr(score), rank1, mean_ap))
-        extra = f" rank1={rank1} map={mean_ap}" if data is not None else ""
+        rank1, mean_ap = evaluate_model(model, data, cfg.feature) if data is not None else ("", "")
+        rows.append((str(path), *parse_checkpoint_name(path.name)[:2], score, rank1, mean_ap))
+        extra = f" rank1={rank1!r} map={mean_ap!r}" if data is not None else ""
         print(f"{path.name}: s_of_w={score!r}{extra}")
     write_csv(out / "diagnose.csv", ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
 
@@ -171,16 +171,17 @@ def cmd_diagnose(args, out, cfg, data) -> None:
 def cmd_compare(args, out, cfg, data) -> None:
     methods = None if args.methods is None else [DecorrMethod.from_name(n.strip()) for n in args.methods.split(",")]
     rows = run_decorr_comparison(data, cfg, methods=methods)
-    write_csv(
-        out / "comparison.csv", ["method", "rank1", "map"], [[m.value, repr(r.rank1), repr(r.map)] for m, r in rows]
-    )
+    write_csv(out / "comparison.csv", ["method", "rank1", "map"], [[m.value, r.rank1, r.map] for m, r in rows])
     print("method   rank1    mAP")
     for method, r in rows:
         print(f"{method.value:<8} {r.rank1:.4f}  {r.map:.4f}")
 
 
 def cmd_sweep_dim(args, out, cfg, data) -> None:
-    results = run_dim_sweep(data, cfg, parse_dims("--dims", args.dims, "flag"))
+    dims = parse_dims("--dims", args.dims, "flag")
+    if not dims:
+        raise ValidationError("flag '--dims': expected at least one dimension")
+    results = run_dim_sweep(data, cfg, dims)
     for dim, w, wo in results:
         print(
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "
@@ -189,7 +190,7 @@ def cmd_sweep_dim(args, out, cfg, data) -> None:
     write_csv(
         out / "sweep_dim.csv",
         ["dim", "map_with_rri", "map_without_rri", "rank1_with_rri", "rank1_without_rri"],
-        [[dim, repr(w.map), repr(wo.map), repr(w.rank1), repr(wo.rank1)] for dim, w, wo in results],
+        [[dim, w.map, wo.map, w.rank1, wo.rank1] for dim, w, wo in results],
     )
 
 

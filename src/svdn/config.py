@@ -16,7 +16,7 @@ from .errors import ValidationError, read_text
 from .trainer import RriSchedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(RriSchedule):
     dataset: str | None = None
 
@@ -31,14 +31,12 @@ def _scalar(kind, expected: str):
 
 
 def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...]:
-    """Comma-separated layer widths, such as ``128,64``; errors name the ``kind`` ``key``."""
+    """Comma-separated layer widths, such as ``128,64``, or none for empty
+    text; errors name the ``kind`` ``key``."""
     try:
-        dims = tuple(int(part.strip()) for part in value.split(",") if part.strip())
+        return tuple(int(part.strip()) for part in value.split(",") if part.strip())
     except ValueError:
         raise ValidationError(f"{kind} {key!r}: expected comma-separated integers, got {value!r}") from None
-    if not dims:
-        raise ValidationError(f"{kind} {key!r}: expected at least one dimension")
-    return dims
 
 
 _TEXT = _scalar(str, "text")
@@ -82,4 +80,4 @@ def override_config(cfg: RunConfig, **overrides) -> RunConfig:
     for key in given:
         if key not in PARSERS:
             raise ValidationError(f"unknown config key {key!r}")
-    return replace(cfg, **given).validate()
+    return replace(cfg, **given)

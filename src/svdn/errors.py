@@ -55,7 +55,9 @@ def open_artifact(path, mode: str = "w"):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then each of ``rows`` as LF-terminated CSV."""
+    """Write ``header`` and then each of ``rows`` as LF-terminated CSV.  A float
+    cell (numpy float64 too) is written as the float's ``repr``, which reads
+    back bit for bit, so callers pass floats as they are."""
     with open_artifact(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError, open_artifact, read_text
+from .errors import DegeneracyError, ValidationError, open_artifact, read_text, write_csv
 from .linalg import _sq_dist_blocks, as_matrix
 
 SPLIT_TRAIN = "train"
@@ -439,13 +439,10 @@ def _parse_rows(lines: list[str], row: np.dtype) -> np.ndarray:
 def write_report(report: RankingReport, path) -> None:
     """Report CSV: metric,value rows for the headline numbers followed by
     the full cumulative matching curve."""
-    n = len(report.cmc)
-    with open_artifact(path) as fh:
-        fh.write("metric,value\n")
-        fh.writelines(f"rank{r},{float(report.cmc[r - 1])!r}\n" for r in (1, 5, 10) if r <= n)
-        fh.write(f"map,{float(report.map)!r}\n")
-        fh.write(f"valid_queries,{len(report.per_query_ap)}\nexcluded_queries,{report.excluded_queries}\n")
-        fh.writelines(f"cmc{r},{value!r}\n" for r, value in enumerate(report.cmc.tolist(), start=1))
+    cmc = report.cmc.tolist()
+    rows = [(f"rank{r}", cmc[r - 1]) for r in (1, 5, 10) if r <= len(cmc)]
+    rows += [("map", report.map), ("valid_queries", len(report.per_query_ap)), ("excluded_queries", report.excluded_queries)]
+    write_csv(path, ["metric", "value"], rows + [(f"cmc{r}", value) for r, value in enumerate(cmc, start=1)])
 
 
 def format_report(report: RankingReport) -> str:

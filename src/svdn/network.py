@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,10 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
 def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, seed: int) -> EigenModel:
     """Fresh model with scaled-uniform fan-in initialization,
     U(-1/sqrt(fan_in), 1/sqrt(fan_in)), for every parameter."""
-    hidden_dims = tuple(int(d) for d in hidden_dims)
+    hidden_dims = tuple(hidden_dims)
+    for d in (input_dim, *hidden_dims, eigen_dim, num_classes):
+        if not isinstance(d, Integral):
+            raise ValidationError(f"layer dimensions must be integers, got {d!r}")
     if input_dim < 1 or eigen_dim < 1 or any(d < 1 for d in hidden_dims):
         raise ValidationError("all layer dimensions must be >= 1")
     if num_classes < 2:
@@ -236,12 +240,12 @@ def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, s
             bias=rng.uniform(-bound, bound, size=fan_out),
         )
 
-    dims = (int(input_dim), *hidden_dims)
+    dims = (input_dim, *hidden_dims)
     backbone = [affine(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     n = dims[-1]
     eigen_bound = 1.0 / np.sqrt(n)
-    eigenlayer = rng.uniform(-eigen_bound, eigen_bound, size=(n, int(eigen_dim)))
-    classifier = affine(int(eigen_dim), int(num_classes))
+    eigenlayer = rng.uniform(-eigen_bound, eigen_bound, size=(n, eigen_dim))
+    classifier = affine(eigen_dim, num_classes)
     return EigenModel(backbone=backbone, eigenlayer=eigenlayer, classifier=classifier)
 
 

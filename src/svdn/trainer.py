@@ -17,16 +17,17 @@ out.  Each phase is a tuple of data run by one ``train`` closure.  At
 every phase boundary one ``record`` closure logs the correlation score,
 the training loss and retrieval quality, and writes a checkpoint.
 
-One ``RriSchedule`` holds every setting of a run.  ``initial_model``
-builds a model of its shape; the entry points that are given a model
-train that model and read none of the shape fields, as ``run_rri`` reads
-no ``step0_epochs``.
+One ``RriSchedule`` holds every setting of a run: a frozen value, checked
+once, when made (``replace`` included).  ``initial_model`` builds a model
+of its shape; the entry points that are given a model train that model
+and read none of the shape fields, as ``run_rri`` reads no ``step0_epochs``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -68,7 +69,7 @@ def parse_checkpoint_name(name: str) -> tuple[str, str, tuple]:
     return rri_index, phase, (0, int(rri_index), order, name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RriSchedule:
     """Settings of one training run: epoch counts per phase, per-phase
     learning rates, the iteration budget, the convergence threshold, the
@@ -90,24 +91,27 @@ class RriSchedule:
     eigen_dim: int = 64
     feature: str = DEFAULT_FEATURE
 
-    def validate(self) -> "RriSchedule":
-        """Check every field by the type of its default: integers (seed >= 0,
-        the others >= 1), finite positive numbers, widths, and the feature."""
+    def __post_init__(self) -> None:
+        """Check every field by the type of its default: integers, not bools
+        (seed >= 0, the others >= 1), finite positive numbers (stored as
+        floats), widths (stored as a tuple), and the feature."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, int):
                 low = 0 if f.name == "seed" else 1
-                if not isinstance(value, Integral) or value < low:
+                if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
                     raise ValidationError(f"schedule field {f.name!r} must be an integer >= {low}, got {value!r}")
             elif isinstance(f.default, float):
-                if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                if not (isinstance(value, Real) and 0 < value <= sys.float_info.max):
                     raise ValidationError(f"schedule field {f.name!r} must be finite and > 0, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
             elif isinstance(f.default, tuple):
-                if not isinstance(value, (tuple, list)) or not all(isinstance(d, Integral) and d >= 1 for d in value):
+                entries = value if isinstance(value, (tuple, list)) else (None,)  # not a sequence: one bad entry
+                if not all(isinstance(d, Integral) and not isinstance(d, bool) and d >= 1 for d in entries):
                     raise ValidationError(f"schedule field {f.name!r} must hold integers >= 1, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
         if self.feature not in FEATURE_KINDS:
             raise ValidationError(f"schedule field 'feature' must be one of {FEATURE_KINDS}, got {self.feature!r}")
-        return self
 
 
 @dataclass
@@ -130,9 +134,8 @@ class RriTrace:
 
 
 def write_trace(trace: RriTrace, path) -> None:
-    """Trace CSV with one row per phase record; floats via repr() so two
-    identical runs produce identical bytes."""
-    write_csv(path, TRACE_COLUMNS, ([repr(v) if isinstance(v, float) else v for v in astuple(r)] for r in trace.records))
+    """Trace CSV with one row per phase record."""
+    write_csv(path, TRACE_COLUMNS, map(astuple, trace.records))
 
 
 def training_arrays(data: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, int]:
@@ -159,7 +162,6 @@ def evaluate_model(model: EigenModel, data: RetrievalDataset, feature: str = DEF
 def initial_model(data: RetrievalDataset, schedule: RriSchedule) -> EigenModel:
     """Fresh model of the schedule's shape for the dataset's width and
     training identities, initialized from ``schedule.seed``."""
-    schedule.validate()
     _, _, c = training_arrays(data)
     return build_model(data.dim, schedule.hidden_dims, schedule.eigen_dim, c, schedule.seed)
 
@@ -176,10 +178,9 @@ def _iteration_phases(schedule: RriSchedule, method: DecorrMethod | None) -> lis
 
 
 def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, stream: int):
-    """Check the schedule and the model against the dataset before any
-    training; return this run's ``train`` and ``record`` closures.  ``stream``
-    seeds the batch order: 0 for step 0, 1 for the iterations (RRI and its control)."""
-    schedule.validate()
+    """Check the model against the dataset before any training; return this
+    run's ``train`` and ``record`` closures.  ``stream`` seeds the batch
+    order: 0 for step 0, 1 for the iterations (RRI and its control)."""
     X, y, c = training_arrays(data)
     require_queries(data)  # every phase boundary scores retrieval
     if model.num_classes != c:
@@ -303,11 +304,11 @@ def run_dim_sweep(data: RetrievalDataset, schedule: RriSchedule, dims) -> list[t
     ``run_baseline`` control (as many iterations as RRI ran) from another.
     Returns ``(width, final RRI record, baseline record)`` per width.  Every
     width is checked before any training."""
-    n_backbone_out = (data.dim, *schedule.hidden_dims)[-1]
+    dims, n_backbone_out = tuple(dims), (data.dim, *schedule.hidden_dims)[-1]
     bad = [dim for dim in dims if not 1 <= dim <= n_backbone_out]
     if bad:
         raise ValidationError(f"sweep dims {bad} must lie in 1..{n_backbone_out}, the backbone output width")
-    widths = [replace(schedule, eigen_dim=dim).validate() for dim in dims]
+    widths = [replace(schedule, eigen_dim=dim) for dim in dims]
     results = []
     for width in widths:
         model, _ = train_step0(initial_model(data, width), data, width)

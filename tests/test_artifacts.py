@@ -7,6 +7,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import svdn
@@ -74,6 +75,14 @@ class TestOpenArtifact:
     def test_text_is_utf8_with_newlines_as_given(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["name", "note"], [["é", "a,b"], ["x", "line\r\nbreak"]])
         assert (tmp_path / "t.csv").read_bytes() == 'name,note\né,"a,b"\nx,"line\r\nbreak"\n'.encode()
+
+    def test_float_cells_are_written_as_their_repr(self, tmp_path):
+        values = [-0.0, 5e-324, 1.2345678901234567e300, 0.1, 1 / 3, -2.5e-7]
+        values += np.random.default_rng(0).standard_normal(1000).tolist()
+        write_csv(tmp_path / "f.csv", ["plain", "float64"], [[v, np.float64(v)] for v in values])
+        rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
+        assert rows == [f"{v!r},{v!r}" for v in values]
+        assert [float(r.split(",")[0]) for r in rows] == values
 
 
 def _is_write_mode(node) -> bool:

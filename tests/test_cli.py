@@ -451,6 +451,11 @@ class TestSweepDim:
         err = capsys.readouterr().err
         assert "--dims" in err and "config key" not in err
 
+    def test_empty_dims_rejected(self, tmp_path, config_path, capsys):
+        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", " , "])
+        assert rc == 2
+        assert "'--dims': expected at least one dimension" in capsys.readouterr().err
+
 
 def _sample_text(key, dataset_path):
     """A valid text value for a config key that differs from its default."""

@@ -1,7 +1,13 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdn.config import RunConfig, load_config, override_config, parse_config
 from svdn.errors import ValidationError
+from svdn.network import FEATURE_KINDS
+from svdn.trainer import RriSchedule
 
 
 FULL = """
@@ -98,3 +104,52 @@ def test_override_validates():
     cfg = RunConfig()
     with pytest.raises(ValidationError):
         override_config(cfg, batch_size=0)
+
+
+def test_empty_hidden_dims_is_no_hidden_layer():
+    assert parse_config("hidden_dims =").hidden_dims == ()
+
+
+SCHEDULE_KEYS = [f.name for f in fields(RriSchedule)]
+# values of every kind a field holds, in range or not
+ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.lists(st.booleans(), min_size=1, max_size=2).map(tuple),
+    st.integers(),
+    st.integers(min_value=0, max_value=2**70),
+    st.floats(),
+    st.floats(min_value=0.0),
+    st.integers(min_value=-1, max_value=2**70).map(float),
+    st.text(max_size=8),
+    st.sampled_from(FEATURE_KINDS),
+    st.lists(st.integers(min_value=-1, max_value=300), max_size=3),
+    st.lists(st.integers(min_value=1, max_value=300), max_size=3).map(tuple),
+    st.tuples(st.integers(min_value=1, max_value=300), st.floats(min_value=1, max_value=300)),
+)
+
+
+def _text(value) -> str:
+    """The ``key = value`` text form of a schedule field's value."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@settings(max_examples=300)
+@given(key=st.sampled_from(SCHEDULE_KEYS), value=ANY_VALUE)
+def test_schedule_is_valid_when_made_and_round_trips_as_text(key, value):
+    try:
+        cfg = RunConfig(**{key: value})
+    except ValidationError as exc:
+        assert f"schedule field {key!r}" in str(exc)
+        with pytest.raises(ValidationError, match=f"schedule field {key!r}"):
+            replace(RunConfig(), **{key: value})
+        return
+    assert parse_config(f"{key} = {_text(getattr(cfg, key))}") == cfg
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, key, getattr(RunConfig(), key))
+
+
+def test_accepted_widths_are_stored_as_a_tuple():
+    widths = [16, 12]
+    sched = RriSchedule(hidden_dims=widths)
+    widths.append(0)
+    assert sched.hidden_dims == (16, 12)

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -34,3 +35,14 @@ def test_long_demo_runs_on_a_short_schedule(demo, monkeypatch, capsys):
     monkeypatch.setattr(svdn, "RriSchedule", short)
     runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
     assert "mAP" in capsys.readouterr().out
+
+
+def test_readme_quickstart_runs_on_a_short_schedule(monkeypatch, capsys):
+    """The README's python block, run as written with its schedule cut short."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    short = functools.partial(svdn.RriSchedule, step0_epochs=2, restraint_epochs=1, relaxation_epochs=1, max_rri=1)
+    monkeypatch.setattr(svdn, "RriSchedule", short)
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out

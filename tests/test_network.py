@@ -287,6 +287,23 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             build_model(4, (4,), 2, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "args, bad", [((8, (16,), 6.7, 3), "6.7"), ((8.0, (16,), 6, 3), "8.0"), ((8, (16,), 6, 3.0), "3.0")]
+    )
+    def test_non_integer_dimension_rejected(self, args, bad):
+        with pytest.raises(ValidationError, match=f"integers, got {bad}"):
+            build_model(*args, seed=0)
+
+    def test_non_integer_width_not_truncated(self):
+        with pytest.raises(ValidationError, match="2.9"):
+            build_model(8, (16, 2.9), 6.7, 3, 0)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        a = build_model(np.int64(8), (np.int64(16), np.int32(4)), np.int64(3), np.int64(5), seed=2)
+        b = build_model(8, (16, 4), 3, 5, seed=2)
+        for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items()):
+            assert na == nb and pa.shape == pb.shape and pa.tobytes() == pb.tobytes()
+
     def test_seed_determinism(self):
         a = build_model(4, (5, 6), 3, 4, seed=9)
         b = build_model(4, (5, 6), 3, 4, seed=9)

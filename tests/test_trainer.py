@@ -62,19 +62,19 @@ def small_model(data, seed=3, eigen=6):
 class TestSchedule:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValidationError, match="step0_epochs"):
-            RriSchedule(step0_epochs=0).validate()
+            RriSchedule(step0_epochs=0)
         with pytest.raises(ValidationError, match="max_rri"):
-            RriSchedule(max_rri=0).validate()
+            RriSchedule(max_rri=0)
 
     def test_non_positive_lr_rejected(self):
         with pytest.raises(ValidationError, match="lr_relaxation"):
-            RriSchedule(lr_relaxation=0.0).validate()
+            RriSchedule(lr_relaxation=0.0)
 
     @pytest.mark.parametrize("name", ["lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_value_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
-            RriSchedule(**{name: value}).validate()
+            RriSchedule(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -88,15 +88,23 @@ class TestSchedule:
             ("eigen_dim", 6.5),
             ("hidden_dims", (16, 2.5)),
             ("hidden_dims", (16, 0)),
+            ("batch_size", True),
+            ("seed", False),
+            ("hidden_dims", (16, True)),
         ],
     )
     def test_non_integer_or_non_positive_value_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
-            RriSchedule(**{name: value}).validate()
+            RriSchedule(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"])
+    def test_integer_past_the_float_range_rejected(self, name):
+        with pytest.raises(ValidationError, match=name):  # not an OverflowError from float()
+            RriSchedule(**{name: 10**400})
 
     @pytest.mark.parametrize("name", ["lr_step0", "lr_restraint", "lr_relaxation", "epsilon_s"])
     def test_integer_accepted_for_a_rate(self, name):
-        RriSchedule(**{name: 1}).validate()
+        RriSchedule(**{name: 1})
 
     def test_initial_model_has_the_schedule_shape(self, small_data):
         sched = small_schedule(hidden_dims=(16, 12), eigen_dim=6)
@@ -127,14 +135,9 @@ class TestStep0:
             for (_, a), (_, b) in zip(before.param_items(), model.param_items()):
                 assert np.array_equal(a, b)  # rejected before any training
 
-    def test_unknown_feature_rejected_before_any_step(self, small_data):
-        sched = small_schedule(feature="middle")
-        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
-            model = small_model(small_data)
-            before = [p.tobytes() for _, p in model.param_items()]
-            with pytest.raises(ValidationError, match="feature"):
-                entry(model, small_data, sched)
-            assert [p.tobytes() for _, p in model.param_items()] == before
+    def test_unknown_feature_rejected_before_any_step(self):
+        with pytest.raises(ValidationError, match="feature"):
+            small_schedule(feature="middle")  # no schedule exists to train with
 
     def test_divergence_raises_with_epoch(self, small_data):
         # overflow in the forward pass turns the loss into NaN/inf
@@ -445,6 +448,10 @@ class TestDimSweep:
         assert dim == 6
         assert final == trace.records[-1]
         assert control == base
+
+    def test_widths_given_as_a_generator(self, small_data):
+        schedule = small_schedule(max_rri=1, hidden_dims=(16, 12))
+        assert [dim for dim, _, _ in run_dim_sweep(small_data, schedule, (dim for dim in (4, 6)))] == [4, 6]
 
     def test_model_without_hidden_layers(self, small_data):
         schedule = small_schedule(max_rri=1, hidden_dims=())
