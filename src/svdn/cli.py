@@ -12,14 +12,16 @@ config and load the dataset, write ``manifest.json`` (tool version,
 seed, effective config, artifact paths) before any work, and exit 0
 only if every artifact exists afterwards.  Every file is written through
 ``errors.open_artifact``, so a failed command leaves no partial file
-under an artifact's name.  Every command but ``gen``
-takes one flag per config key, generated from ``config.CONFIG_KEYS``
+under an artifact's name.  ``gen`` takes one flag per parameter of
+``generate_synthetic``, with its default; every other command takes one
+flag per config key, generated from ``config.CONFIG_KEYS``
 (``--step0-epochs`` sets ``step0_epochs``); flags override the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -57,23 +59,17 @@ from .trainer import (
 from .diagnostics import s_of_w
 
 
-def _gen_params(args) -> dict:
-    return {
-        "identities": args.ids,
-        "cameras": args.cameras,
-        "samples_per_id_camera": args.samples,
-        "dim": args.dim,
-        "noise": args.noise,
-        "camera_scale": args.camera_scale,
-    }
+_GEN_DEFAULTS = {name: p.default for name, p in inspect.signature(generate_synthetic).parameters.items()}
+_GEN_FLAGS = {"identities": "--ids", "samples_per_id_camera": "--samples"}  # the others: "--" + name
 
 
 def _run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dataset_use is None:
-        cfg = data = None
-        seed, config = args.seed, _gen_params(args)
+        data, cfg = None, {name: getattr(args, name) for name in _GEN_DEFAULTS}  # generate_synthetic's arguments
+        config = dict(cfg)
+        seed = config.pop("seed")
     else:
         flags = {key: PARSERS[key](key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None}
         cfg = override_config(load_config(args.config) if args.config else RunConfig(), **flags)
@@ -105,7 +101,7 @@ def _run(args) -> int:
 
 
 def cmd_gen(args, out, cfg, data) -> None:
-    dataset = generate_synthetic(seed=args.seed, **_gen_params(args))
+    dataset = generate_synthetic(**cfg)
     save_dataset(dataset, out / "dataset.csv")
     print(f"wrote {out / 'dataset.csv'}: {dataset.features.shape[0]} rows, dim {dataset.dim}")
 
@@ -213,13 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return sub
 
     gen = command("gen", cmd_gen, {"dataset": "dataset.csv"}, None, "write a synthetic retrieval dataset")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    gen.add_argument("--ids", type=int, default=32)
-    gen.add_argument("--cameras", type=int, default=4)
-    gen.add_argument("--samples", type=int, default=6, help="samples per identity-camera cell")
-    gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--noise", type=float, default=0.45)
-    gen.add_argument("--camera-scale", dest="camera_scale", type=float, default=0.5)
+    for name, default in _GEN_DEFAULTS.items():
+        flag = _GEN_FLAGS.get(name, "--" + name.replace("_", "-"))
+        gen.add_argument(flag, dest=name, type=type(default), default=default, help=f"default: {default}")
 
     command(
         "train",

@@ -9,12 +9,17 @@ Activations are row vectors and weights are (fan_in, fan_out), so a
 layer computes ``x @ W + b``.  The weight vectors subject to
 decorrelation are the columns of the eigenlayer matrix.  All gradients
 are exact analytic expressions; no autodiff involved.
+
+A model is one float64 parameter vector, ``params``: making a model
+copies its arrays into it, and its layer arrays are views of it from then
+on, so one update of ``params`` moves every parameter at once.  Layers
+cannot be rebound; a caller writes in place (``model.eigenlayer[...] = w``).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
@@ -34,20 +39,39 @@ FEATURE_KINDS = ("input", "output")
 DEFAULT_FEATURE = "input"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineLayer:
     weight: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray    # (fan_out,)
 
-    def copy(self) -> "AffineLayer":
-        return AffineLayer(self.weight.copy(), self.bias.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class EigenModel:
-    backbone: list[AffineLayer]
+    """Backbone, eigenlayer and classifier over one parameter vector.
+
+    Making a model copies every given array bit for bit into the float64
+    vector ``params``, in :meth:`param_items` order, and binds each layer
+    array to a view of it; ``backbone`` becomes a tuple.  Fields cannot be
+    rebound, so a caller writes in place.  :meth:`copy`, ``pickle`` and
+    ``copy.deepcopy`` rebuild a model the same way, so each copy owns a
+    vector of its own whose views are its layers."""
+
+    backbone: tuple[AffineLayer, ...]
     eigenlayer: np.ndarray        # (n, k), bias-free
     classifier: AffineLayer       # (k, c)
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        arrays = [p for _, p in self.param_items()]
+        params = np.concatenate([p.ravel() for p in arrays], dtype=np.float64)
+        views = iter(_split(params, arrays))
+        object.__setattr__(self, "backbone", tuple(AffineLayer(next(views), next(views)) for _ in self.backbone))
+        object.__setattr__(self, "eigenlayer", next(views))
+        object.__setattr__(self, "classifier", AffineLayer(next(views), next(views)))
+        object.__setattr__(self, "params", params)
+
+    def __reduce__(self):
+        return EigenModel, (self.backbone, self.eigenlayer, self.classifier)
 
     @property
     def input_dim(self) -> int:
@@ -58,14 +82,10 @@ class EigenModel:
         return self.classifier.weight.shape[1]
 
     def copy(self) -> "EigenModel":
-        return EigenModel(
-            backbone=[layer.copy() for layer in self.backbone],
-            eigenlayer=self.eigenlayer.copy(),
-            classifier=self.classifier.copy(),
-        )
+        return EigenModel(self.backbone, self.eigenlayer, self.classifier)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Named parameter arrays, in a fixed order (views, not copies)."""
+        """Named parameter arrays, in a fixed order: views of ``params``."""
         items: list[tuple[str, np.ndarray]] = []
         for i, layer in enumerate(self.backbone):
             items.append((f"backbone{i}.weight", layer.weight))
@@ -76,7 +96,7 @@ class EigenModel:
         return items
 
     def num_params(self) -> int:
-        return sum(p.size for _, p in self.param_items())
+        return self.params.size
 
     def _check_batch(self, batch) -> np.ndarray:
         batch = as_matrix(batch, "batch")
@@ -183,23 +203,6 @@ def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen
     return loss
 
 
-def _flatten(model: EigenModel) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Copy every parameter bit for bit into one float64 vector ``buf`` and
-    rebind the model's arrays as views into it, in :meth:`EigenModel.param_items`
-    order.  Returns ``buf``, a zeroed gradient vector ``gbuf`` with the same
-    layout, and ``gbuf``'s per-parameter views, so that one update of
-    ``buf`` from ``gbuf`` moves every parameter at once."""
-    params = [p for _, p in model.param_items()]
-    buf = np.concatenate([p.ravel() for p in params], dtype=np.float64)
-    gbuf = np.zeros_like(buf)
-    it = iter(_split(buf, params))
-    for layer in model.backbone:
-        layer.weight, layer.bias = next(it), next(it)
-    model.eigenlayer = next(it)
-    model.classifier.weight, model.classifier.bias = next(it), next(it)
-    return buf, gbuf, _split(gbuf, params)
-
-
 def _split(flat: np.ndarray, like) -> list[np.ndarray]:
     """Consecutive views of ``flat`` shaped like the arrays in ``like``."""
     views, off = [], 0
@@ -294,13 +297,13 @@ def load_checkpoint(path) -> EigenModel:
             role, rows, cols = struct.unpack_from("<BII", raw, off)
             off += 9
             n = rows * cols
-            weight = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(rows, cols).copy()
+            weight = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(rows, cols)
             off += 8 * n
             (flag,) = struct.unpack_from("<B", raw, off)
             off += 1
             bias = None
             if flag == 1:
-                bias = np.frombuffer(raw, dtype="<f8", count=cols, offset=off).copy()
+                bias = np.frombuffer(raw, dtype="<f8", count=cols, offset=off)
                 off += 8 * cols
             elif flag != 0:
                 raise ValidationError(f"{path}: bad bias flag {flag}")

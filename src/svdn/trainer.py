@@ -39,7 +39,7 @@ from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
-from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _flatten, _grads_into, build_model, save_checkpoint
+from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _grads_into, _split, build_model, save_checkpoint
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -193,17 +193,19 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     rows = y.shape[0]
     rng = np.random.default_rng([schedule.seed, stream])
 
+    @np.errstate(over="ignore", invalid="ignore")  # the checks below name a non-finite step
     def train(method: DecorrMethod | None, epochs: int, lr: float, frozen: bool) -> None:
         """Replace the eigenlayer by ``method`` (if given), then run
-        ``epochs`` SGD epochs.  Training moves the parameters into one flat
-        buffer and takes each step as one kernel call and one update of it;
-        the gradient buffer and the shuffled copies go when this returns."""
+        ``epochs`` SGD epochs.  Each step is one kernel call into a gradient
+        vector laid out like ``model.params`` and one in-place update of
+        that vector; the gradient vector and the shuffled copies go when
+        this returns."""
         if method is not None:
-            # in place: rebinding would keep the old weights alive in the flat buffer
             model.eigenlayer[...] = decorrelate.apply(model.eigenlayer, method)
         if not epochs:
             return
-        buf, gbuf, gviews = _flatten(model)
+        params, gbuf = model.params, np.zeros_like(model.params)
+        gviews = _split(gbuf, [p for _, p in model.param_items()])
         for epoch in range(epochs):
             order = rng.permutation(rows)
             X_epoch, y_epoch = X[order], y[order]
@@ -216,7 +218,7 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
                     bad = next(pname for (pname, _), g in zip(model.param_items(), gviews) if not np.isfinite(g).all())
                     raise NumericError(f"training diverged: non-finite gradient for parameter {bad} at epoch {epoch}")
                 gbuf *= lr  # in place: no step allocates a parameter-sized temporary
-                buf -= gbuf
+                params -= gbuf
 
     def record(name: str, rri_index: int, out_dir=None) -> PhaseRecord:
         """Score the model as phase ``name`` of iteration ``rri_index`` and

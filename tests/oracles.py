@@ -271,3 +271,16 @@ def reference_checkpoint_order(names):
         return (0, int(rri_index), order, name)
 
     return sorted(rows, key=key)
+
+
+def assert_one_parameter_vector(model):
+    """Every parameter array of ``model`` is a view of ``model.params`` at its
+    ``param_items`` offset: after ``params`` is overwritten with distinct
+    values, the arrays read back exactly those values, in order.  The
+    model's parameters are overwritten."""
+    arrays = [p for _, p in model.param_items()]
+    assert model.params.dtype == np.float64 and model.num_params() == model.params.size
+    assert all(np.shares_memory(p, model.params) for p in arrays)
+    assert np.array_equal(model.params, np.concatenate([p.ravel() for p in arrays]))
+    model.params[...] = np.arange(model.params.size)
+    assert np.array_equal(model.params, np.concatenate([p.ravel() for p in arrays]))

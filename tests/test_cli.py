@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from svdn.cli import main
 from svdn.config import CONFIG_KEYS, RunConfig
-from svdn.evaluation import load_dataset
+from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
 from svdn.network import load_checkpoint, save_checkpoint
 from svdn.trainer import checkpoint_name
 
@@ -61,6 +65,16 @@ class TestGen:
         assert manifest["seed"] == 5
         assert manifest["artifacts"] == {"dataset": "dataset.csv"}
         assert manifest["tool"] == "svdn"
+
+    def test_defaults_are_generate_synthetic_defaults(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "cli")]) == 0
+        save_dataset(generate_synthetic(), tmp_path / "lib.csv")
+        assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+        assert (manifest["seed"], manifest["config"]) == (
+            0,
+            {"identities": 32, "cameras": 4, "samples_per_id_camera": 6, "dim": 16, "noise": 0.45, "camera_scale": 0.5},
+        )
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path), "--ids", "1"])
@@ -148,6 +162,18 @@ class TestTrain:
         assert rc == 2
         assert "query split" in capsys.readouterr().err
         assert list(out.glob("ckpt_*.svdn")) == []
+
+    def test_diverged_run_prints_one_error_line(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "data")]) == 0
+        argv = ["train", "--out", str(tmp_path / "run"), "--dataset", str(tmp_path / "data" / "dataset.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "svdn.cli", *argv, "--max-rri", "3", "--seed", "9", "--lr-relaxation", "1e6"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: training diverged: non-finite loss at epoch 0\n"  # no numpy warnings
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
         out = tmp_path / "neg"
@@ -258,6 +284,15 @@ class TestEval:
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == "metric,value"
         assert any(line.startswith("map,") for line in lines)
+
+    def test_missing_artifact_exits_1_naming_it(self, tmp_path, config_path, trained, capsys, monkeypatch):
+        monkeypatch.setattr("svdn.cli.write_report", lambda report, path: None)
+        rc = main([
+            "eval", "--config", str(config_path), "--out", str(tmp_path),
+            "--ckpt", str(trained / "ckpt_final.svdn"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing artifacts after run: report.csv\n"
 
     def test_l2_normalize_flag(self, tmp_path, config_path, trained):
         out = tmp_path / "eval_l2"

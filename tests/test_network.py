@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,13 @@ from svdn.network import (
     save_checkpoint,
 )
 
-from oracles import fd_gradients, loop_forward, reference_forward, reference_loss_and_grads
+from oracles import (
+    assert_one_parameter_vector,
+    fd_gradients,
+    loop_forward,
+    reference_forward,
+    reference_loss_and_grads,
+)
 
 
 def tiny_model(seed=0, input_dim=4, hidden=(5, 6), eigen=3, classes=3):
@@ -214,6 +223,51 @@ class TestTraining:
             for name, p in model.param_items():
                 p -= 0.1 * grads[name]
         assert model.loss(batch, labels) < start
+
+
+class TestParameterVector:
+    def test_build_model_copies_into_one_vector(self):
+        assert_one_parameter_vector(tiny_model(seed=5))
+
+    def test_making_a_model_copies_its_arrays_bit_for_bit(self):
+        weight, bias, eigen = np.arange(6.0).reshape(2, 3) / 7.0, np.array([1.0, 2.0, 3.0]), np.full((3, 2), 0.1)
+        model = EigenModel([AffineLayer(weight, bias)], eigen, AffineLayer(np.ones((2, 2)), np.zeros(2)))
+        assert isinstance(model.backbone, tuple)
+        assert np.array_equal(model.backbone[0].weight, weight) and not np.shares_memory(model.params, weight)
+        assert model.params.tobytes() == b"".join(p.tobytes() for p in (weight, bias, eigen, np.ones(4), np.zeros(2)))
+        assert_one_parameter_vector(model)
+
+    def test_load_checkpoint_gives_one_vector(self, tmp_path):
+        save_checkpoint(tiny_model(seed=6), tmp_path / "m.svdn")
+        assert_one_parameter_vector(load_checkpoint(tmp_path / "m.svdn"))
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [EigenModel.copy, lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy],
+        ids=["copy", "pickle", "deepcopy", "shallow_copy"],
+    )
+    def test_duplicates_own_a_vector_of_their_own(self, duplicate):
+        model = tiny_model(seed=7)
+        before = model.params.copy()
+        dup = duplicate(model)
+        assert np.array_equal(dup.params, before) and not np.shares_memory(dup.params, model.params)
+        assert [n for n, _ in dup.param_items()] == [n for n, _ in model.param_items()]
+        assert_one_parameter_vector(dup)
+        assert np.array_equal(model.params, before)  # writing the duplicate left the original alone
+
+    def test_fields_cannot_be_rebound(self):
+        model = tiny_model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.eigenlayer = np.zeros_like(model.eigenlayer)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = np.zeros_like(model.params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.backbone[0].weight = np.zeros_like(model.backbone[0].weight)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.classifier.bias = np.zeros_like(model.classifier.bias)
+        with pytest.raises(TypeError):
+            model.backbone[0] = model.backbone[1]
+        assert_one_parameter_vector(model)
 
 
 class TestCheckpoint:

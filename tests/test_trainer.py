@@ -10,7 +10,7 @@ from svdn.errors import NumericError, ValidationError
 from svdn.evaluation import RetrievalDataset, generate_synthetic
 from svdn.network import _grads_into, build_model, load_checkpoint
 
-from oracles import reference_checkpoint_order
+from oracles import assert_one_parameter_vector, reference_checkpoint_order
 from svdn.trainer import (
     CHECKPOINT_PHASES,
     PHASE_DECORRELATE,
@@ -110,7 +110,7 @@ class TestSchedule:
         sched = small_schedule(hidden_dims=(16, 12), eigen_dim=6)
         assert_same_params(initial_model(small_data, sched), small_model(small_data))
         shallow = initial_model(small_data, small_schedule(hidden_dims=(), eigen_dim=5))
-        assert (shallow.backbone, shallow.eigenlayer.shape) == ([], (small_data.dim, 5))
+        assert (shallow.backbone, shallow.eigenlayer.shape) == ((), (small_data.dim, 5))
 
 
 class TestStep0:
@@ -264,6 +264,14 @@ def assert_same_params(a, b):
 
 
 class TestFusedStep:
+    def test_trained_model_keeps_one_parameter_vector(self, small_data):
+        sched = small_schedule(max_rri=1)
+        model, _ = train_step0(small_model(small_data), small_data, sched)
+        params = model.params
+        model, _ = run_rri(model, small_data, sched)
+        assert model.params is params  # every phase updates the vector in place
+        assert_one_parameter_vector(model)
+
     def test_matches_public_api_loop_bit_for_bit(self, small_data):
         sched = small_schedule(max_rri=1, batch_size=7)
         X, y, _ = training_arrays(small_data)
@@ -280,7 +288,7 @@ class TestFusedStep:
         reference_phase(ref, X, y, rng, sched.step0_epochs, sched.lr_step0, False, sched.batch_size)
         assert_same_params(after_step0, ref)
         rng = np.random.default_rng([sched.seed, 1])
-        ref.eigenlayer = decorrelate.apply(ref.eigenlayer, DecorrMethod.US)
+        ref.eigenlayer[...] = decorrelate.apply(ref.eigenlayer, DecorrMethod.US)
         reference_phase(ref, X, y, rng, sched.restraint_epochs, sched.lr_restraint, True, sched.batch_size)
         reference_phase(ref, X, y, rng, sched.relaxation_epochs, sched.lr_relaxation, False, sched.batch_size)
         assert_same_params(model, ref)
