@@ -1,10 +1,12 @@
-"""Exception types shared across the package, the text-file reader that
-reports undecodable input as one of them, and the one way the package
-writes a file: ``open_artifact``, all or nothing, with the package's one
-``csv.writer`` set-up, ``write_csv``, on top of it."""
+"""Exception types shared across the package, the text decoder and reader
+that report undecodable input as one of them, ``open_private`` for a file
+only its owner may write, and the one way the package writes a file:
+``open_artifact``, all or nothing, with the package's one ``csv.writer``
+set-up, ``write_csv``, on top of it."""
 
 import csv
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,13 +27,36 @@ class DegeneracyError(SvdnError):
     """Input is rank-deficient or otherwise degenerate for the requested operation."""
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of ``path`` with universal newlines (CRLF and CR
-    read as LF); ValidationError naming ``path`` if it is not UTF-8."""
+def decode_text(raw: bytes, path) -> str:
+    """``raw``, the bytes of ``path``, as UTF-8 text with universal newlines
+    (CRLF and CR read as LF); ValidationError naming ``path`` if it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path) -> str:
+    """The text of ``path`` as :func:`decode_text` gives it."""
+    return decode_text(Path(path).read_bytes(), path)
+
+
+def open_private(path, owner: int):
+    """``path`` opened for binary reading if it is a regular file owned by
+    the current user or by ``owner`` and writable by no one else.  A link
+    is not followed nor a FIFO waited on: anything else there raises
+    PermissionError, or the OSError of the open."""
+    fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_uid in (os.geteuid(), owner) and not st.st_mode & 0o022:
+            return open(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
+    os.close(fd)
+    raise PermissionError(f"{path}: not a regular file of this user or {owner} that only its owner may write")
 
 
 @contextmanager
@@ -40,13 +65,14 @@ def open_artifact(path, mode: str = "w"):
     hidden sibling ``.{name}.{pid}.tmp``, which replaces ``path`` when the
     block exits cleanly and is deleted when it raises (any exception,
     interrupts included).  ``mode`` is ``"w"`` (UTF-8 text, newlines
-    written as given) or ``"wb"``.  No fsync: this guards against a
-    failing process, not against power loss."""
+    written as given) or ``"wb"``.  The sibling is created anew, so a file
+    or link already under its name is never written through.  No fsync:
+    this guards against a failing process, not against power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     text = {"encoding": "utf-8", "newline": ""} if mode == "w" else {}
     try:
-        with open(tmp, mode, **text) as fh:
+        with open(tmp, mode.replace("w", "x"), **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

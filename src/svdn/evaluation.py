@@ -16,13 +16,17 @@ and samples are distorted centers plus isotropic noise.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import os
+import stat
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError, open_artifact, read_text, write_csv
+from .errors import DegeneracyError, ValidationError, decode_text, open_artifact, open_private, write_csv
 from .linalg import _sq_dist_blocks, as_matrix
 
 SPLIT_TRAIN = "train"
@@ -387,12 +391,103 @@ def save_dataset(dataset: RetrievalDataset, path) -> None:
         )
 
 
+# A dataset's parsed table is kept beside its CSV in the hidden sidecar
+# ".{name}.parsed.npz", under the SHA-256 of the CSV's bytes.  Bump
+# _CACHE_VERSION whenever the set of CSVs the parser accepts changes, or its
+# output does: a sidecar of another version is a miss.
+_CACHE_VERSION = 1
+
+
 def load_dataset(path) -> RetrievalDataset:
     """Read a dataset CSV.  CRLF or CR line ends and quoted fields are
     accepted.  A file that is not UTF-8 text or has a malformed header
     raises ValidationError naming ``path``; a malformed row, a NaN or
-    infinite feature included, names ``path:lineno``."""
-    header, *body = read_text(path).split("\n")
+    infinite feature included, names ``path:lineno``.
+
+    The parsed table is kept in the sidecar ``.{name}.parsed.npz`` beside
+    ``path``, keyed by the SHA-256 of the file's bytes; while they match,
+    the parse is skipped.  A table from either source passes the same
+    checks.  A sidecar is read only if it is a regular file owned by the
+    current user or by the CSV's owner and writable by no one else; one
+    that is not is neither read nor replaced.  Any other sidecar that
+    cannot be used is a miss and is rewritten; one that cannot be written
+    is left out."""
+    file = Path(path)
+    with open(file, "rb") as fh:
+        raw = fh.read()
+        owner = os.fstat(fh.fileno()).st_uid
+    digest = hashlib.sha256(raw).hexdigest()
+    sidecar = file.with_name(f".{file.name}.parsed.npz")
+    table, replaceable = _read_sidecar(sidecar, digest, owner)
+    parsed = table is None
+    # each of the bytes, the text and the lines is freed once the next
+    # exists, and the bytes before a hit's copies: what the heap held here
+    # stays resident under the scoring that follows
+    if parsed:
+        text = decode_text(raw, path)
+        del raw
+        lines = text.split("\n")
+        del text
+        table = _parse_table(lines, path)
+        del lines
+    else:
+        del raw
+    finite = np.isfinite(table["f"]).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
+    dataset = RetrievalDataset(
+        features=np.ascontiguousarray(table["f"]),
+        ids=np.ascontiguousarray(table["id"]),
+        cameras=np.ascontiguousarray(table["camera"]),
+        split=np.ascontiguousarray(table["split"]),
+    ).validate()
+    if parsed and replaceable:
+        try:
+            with open_artifact(sidecar, "wb") as fh:
+                # a umask that lets the group write would make the sidecar untrusted
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.fstat(fh.fileno()).st_mode) & ~0o022)
+                np.savez(fh, sha256=digest, version=_CACHE_VERSION, table=table)
+        except OSError:
+            pass  # only a cache: without it the next load parses again
+    return dataset
+
+
+def _read_sidecar(sidecar: Path, digest: str, owner: int) -> tuple[np.ndarray | None, bool]:
+    """The table stored in ``sidecar`` for a CSV whose SHA-256 is
+    ``digest`` and whose owner is ``owner``, or None, and whether
+    ``sidecar`` may be replaced: not when ``open_private`` refuses what is
+    there, which is then never read.  None is also given for no file, one
+    that does not load (without pickles), another digest or
+    ``_CACHE_VERSION``, or a table that is not one row per line of the
+    row dtype for its own width."""
+    try:
+        fh = open_private(sidecar, owner)
+    except FileNotFoundError:
+        return None, True
+    except OSError:  # a link, a FIFO, a directory, or a file of another user
+        return None, False
+    with fh:
+        try:
+            with np.load(fh, allow_pickle=False) as stored:
+                if stored["sha256"].item() != digest or stored["version"].item() != _CACHE_VERSION:
+                    return None, True
+                table = stored["table"]
+            if table.ndim == 1 and table.dtype == _row_dtype(table.dtype["f"].shape[0]):
+                return table, True
+        except Exception:  # a sidecar is only a cache: whatever is wrong with it makes a miss
+            pass
+    return None, True
+
+
+def _row_dtype(d: int) -> np.dtype:
+    # every tag in SPLITS fits in 7 characters, so a longer tag cut to 8
+    # stays invalid
+    return np.dtype([("id", np.int64), ("camera", np.int64), ("split", "U8"), ("f", np.float64, (d,))])
+
+
+def _parse_table(lines: list[str], path) -> np.ndarray:
+    """The structured table of a dataset CSV's lines, header first."""
+    header, *body = lines
     if body and body[-1] == "":
         body.pop()
     d = header.count(",") - 2
@@ -404,11 +499,9 @@ def load_dataset(path) -> RetrievalDataset:
     for lineno, line in enumerate(body, start=2):
         if line.count(",") != d + 2:
             raise ValidationError(f"{path}:{lineno}: expected {d + 3} fields, got {line.count(',') + 1}")
-    # every tag in SPLITS fits in 7 characters, so a longer tag cut to 8
-    # stays invalid
-    row = np.dtype([("id", np.int64), ("camera", np.int64), ("split", "U8"), ("f", np.float64, (d,))])
+    row = _row_dtype(d)
     try:
-        table = _parse_rows(body, row)
+        return _parse_rows(body, row)
     except ValueError as exc:
         # parse line by line only to name the first line that fails alone;
         # numpy's "at row N" would count within that one line, so it is cut
@@ -420,16 +513,6 @@ def load_dataset(path) -> RetrievalDataset:
                 where, error = f"{path}:{lineno}", line_exc
                 break
         raise ValidationError(f"{where}: {str(error).split(' at row ')[0]}") from None
-    finite = np.isfinite(table["f"]).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
-    dataset = RetrievalDataset(
-        features=np.ascontiguousarray(table["f"]),
-        ids=np.ascontiguousarray(table["id"]),
-        cameras=np.ascontiguousarray(table["camera"]),
-        split=np.ascontiguousarray(table["split"]),
-    )
-    return dataset.validate()
 
 
 def _parse_rows(lines: list[str], row: np.dtype) -> np.ndarray:

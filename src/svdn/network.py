@@ -39,22 +39,25 @@ FEATURE_KINDS = ("input", "output")
 DEFAULT_FEATURE = "input"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineLayer:
     weight: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray    # (fan_out,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenModel:
     """Backbone, eigenlayer and classifier over one parameter vector.
 
-    Making a model copies every given array bit for bit into the float64
-    vector ``params``, in :meth:`param_items` order, and binds each layer
-    array to a view of it; ``backbone`` becomes a tuple.  Fields cannot be
-    rebound, so a caller writes in place.  :meth:`copy`, ``pickle`` and
-    ``copy.deepcopy`` rebuild a model the same way, so each copy owns a
-    vector of its own whose views are its layers."""
+    Making a model checks the shapes (every weight 2-D, every bias as long
+    as its weight is wide, each layer as wide as the next is tall; a
+    ValidationError names the first that is not), copies every given array
+    bit for bit into the float64 vector ``params``, in :meth:`param_items`
+    order, and binds each layer array to a view of it; ``backbone`` becomes
+    a tuple.  Fields cannot be rebound, so a caller writes in place.
+    :meth:`copy`, ``pickle`` and ``copy.deepcopy`` rebuild a model the same
+    way, so each copy owns a vector of its own whose views are its layers.
+    Models compare and hash by identity."""
 
     backbone: tuple[AffineLayer, ...]
     eigenlayer: np.ndarray        # (n, k), bias-free
@@ -62,7 +65,19 @@ class EigenModel:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arrays = [p for _, p in self.param_items()]
+        items, width = self.param_items(), None
+        for name, p in items:
+            shape = np.shape(p)
+            if name.endswith("bias"):
+                if shape != (width,):
+                    raise ValidationError(f"{name} must have shape ({width},), got {shape}")
+            elif len(shape) != 2:
+                raise ValidationError(f"{name} must be 2-D, got shape {shape}")
+            elif width is not None and shape[0] != width:
+                raise ValidationError(f"layer shapes do not chain ({width} -> {shape[0]})")
+            else:
+                width = shape[1]
+        arrays = [p for _, p in items]
         params = np.concatenate([p.ravel() for p in arrays], dtype=np.float64)
         views = iter(_split(params, arrays))
         object.__setattr__(self, "backbone", tuple(AffineLayer(next(views), next(views)) for _ in self.backbone))
@@ -326,11 +341,10 @@ def load_checkpoint(path) -> EigenModel:
     if cls_b is None:
         raise ValidationError(f"{path}: classifier layer missing bias")
 
-    widths = [w.shape for _, w, _ in parsed]
-    for (r1, c1), (r2, c2) in zip(widths, widths[1:]):
-        if c1 != r2:
-            raise ValidationError(f"{path}: layer shapes do not chain ({c1} -> {r2})")
-    model = EigenModel(backbone=backbone, eigenlayer=eigen_w, classifier=AffineLayer(cls_w, cls_b))
+    try:
+        model = EigenModel(backbone=backbone, eigenlayer=eigen_w, classifier=AffineLayer(cls_w, cls_b))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     for name, p in model.param_items():
         if not np.isfinite(p).all():
             raise ValidationError(f"{path}: non-finite entries in {name}")

@@ -62,6 +62,16 @@ class TestOpenArtifact:
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
 
+    def test_link_at_the_temporary_name_is_not_written_through(self, tmp_path):
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"keep")
+        (tmp_path / f".x.{os.getpid()}.tmp").symlink_to(victim)
+        with pytest.raises(FileExistsError):
+            with open_artifact(tmp_path / "x", "wb") as fh:
+                fh.write(b"new")
+        assert victim.read_bytes() == b"keep"
+        assert [p.name for p in tmp_path.iterdir()] == ["victim"]
+
     def test_file_mode_matches_plain_open(self, tmp_path):
         old = os.umask(0o027)
         try:
@@ -100,17 +110,48 @@ def _is_write_mode(node) -> bool:
     return False
 
 
+# numpy's file writers: each takes the file (a path or a handle) first
+NUMPY_WRITERS = ("save", "savez", "savez_compressed", "savetxt", "tofile")
+
+
+def _call_name(fn) -> str | None:
+    return fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+
+
+def _writes_to_artifact(tree) -> set[int]:
+    """The ids of the calls whose first argument is the name bound by an
+    enclosing ``with open_artifact(...) as <name>``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With):
+            handles = {
+                item.optional_vars.id
+                for item in node.items
+                if isinstance(item.context_expr, ast.Call)
+                and _call_name(item.context_expr.func) == "open_artifact"
+                and isinstance(item.optional_vars, ast.Name)
+            }
+            for call in (n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                if call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in handles:
+                    inside.add(id(call))
+    return inside
+
+
 def file_writers(source: str) -> list[str]:
     """Every call in ``source`` that creates or writes a file, or sets up
-    a ``csv`` writer, as ``line: code``."""
+    a ``csv`` writer, as ``line: code``.  A numpy writer counts unless it
+    writes the handle of an enclosing ``open_artifact``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    to_artifact = _writes_to_artifact(tree)
+    for node in ast.walk(tree):
         hit = False
         if isinstance(node, ast.Call):
             fn = node.func
-            name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+            name = _call_name(fn)
             hit = (name == "open" and _is_write_mode(node)) or name in ("write_text", "write_bytes")
             hit = hit or (isinstance(fn, ast.Attribute) and name in ("writer", "DictWriter"))
+            hit = hit or (name in NUMPY_WRITERS and id(node) not in to_artifact)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             hit = "csv" in modules
@@ -142,12 +183,31 @@ def test_only_errors_module_writes_files():
         "csv.writer(fh)",
         "import csv",
         "from csv import writer",
+        "np.save(p, a)",
+        "np.savez(p, a=a)",
+        "np.savez_compressed(p, a=a)",
+        "np.savetxt(p, a)",
+        "a.tofile(p)",
+        "with open_artifact(p, 'wb') as fh:\n    np.savez(p, a=a)",
+        "with open_artifact(p, 'wb') as fh:\n    pass\nnp.savez(fh, a=a)",
     ],
 )
 def test_guard_flags_each_writer(code):
     assert len(file_writers(code)) == 1
 
 
-@pytest.mark.parametrize("code", ["open(p)", "open(p, 'r')", "Path(p).read_text()", "p.open('rb')", "p.open(encoding=e)", "fh.write(s)"])
+@pytest.mark.parametrize(
+    "code",
+    [
+        "open(p)",
+        "open(p, 'r')",
+        "Path(p).read_text()",
+        "p.open('rb')",
+        "p.open(encoding=e)",
+        "fh.write(s)",
+        "np.load(p)",
+        "with open_artifact(p, 'wb') as fh:\n    np.savez(fh, a=a)",
+    ],
+)
 def test_guard_passes_readers(code):
     assert file_writers(code) == []

@@ -1,7 +1,10 @@
+import hashlib
+import os
 import re
 import tempfile
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -11,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdn import evaluation
+from svdn.cli import main
 from svdn.decorrelate import DecorrMethod, apply
-from svdn.errors import DegeneracyError, NumericError, ValidationError
+from svdn.errors import DegeneracyError, NumericError, ValidationError, decode_text
 from svdn.evaluation import (
     QUERY_BLOCK,
     RankingReport,
@@ -27,6 +31,7 @@ from svdn.evaluation import (
     save_dataset,
     write_report,
 )
+from svdn.network import build_model, save_checkpoint
 
 from oracles import (
     csv_dataset_text,
@@ -556,6 +561,202 @@ class TestCsvRoundTrips:
         assert "map,0.625" in lines
         table = format_report(report)
         assert "mAP" in table and "0.6250" in table
+
+
+class TestParsedSidecar:
+    """``load_dataset`` keeps each CSV's parsed table in ``.{name}.parsed.npz``
+    beside it, keyed by the SHA-256 of the CSV's bytes."""
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(small_dataset(seed=14), path)
+        return path, tmp_path / ".ds.csv.parsed.npz"
+
+    @staticmethod
+    def assert_same_arrays(a, b):
+        for name in ("features", "ids", "cameras", "split"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert (x.flags.c_contiguous, x.flags.f_contiguous) == (y.flags.c_contiguous, y.flags.f_contiguous)
+
+    @staticmethod
+    def forge(sidecar, path, **fields):
+        """Write ``sidecar`` with the digest of ``path``, the current version and ``fields``, which win."""
+        own = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "version": evaluation._CACHE_VERSION}
+        np.savez(sidecar, **{**own, **fields})
+
+    def test_warm_load_skips_the_parse_and_matches_the_cold_one(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        cold = load_dataset(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, path.name]
+        with mock.patch.object(evaluation, "_parse_table", side_effect=AssertionError("parsed again")):
+            warm = load_dataset(path)
+        self.assert_same_arrays(warm, cold)
+
+    def test_changed_byte_is_a_miss_and_a_rewrite(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        load_dataset(path)
+        raw = path.read_bytes()
+        # the last digit of the last row: still a finite float, now another one
+        digit = next(i for i in range(len(raw) - 2, 0, -1) if raw[i : i + 1].isdigit() and raw[i + 1 : i + 2] == b"\n")
+        path.write_bytes(raw[:digit] + (b"1" if raw[digit : digit + 1] != b"1" else b"2") + raw[digit + 1 :])
+        with mock.patch.object(evaluation, "_parse_table", wraps=evaluation._parse_table) as parse:
+            changed = load_dataset(path)
+        assert parse.call_count == 1
+        with np.load(sidecar) as stored:
+            assert stored["sha256"].item() == hashlib.sha256(path.read_bytes()).hexdigest()
+        sidecar.unlink()
+        self.assert_same_arrays(changed, load_dataset(path))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda sha, table: {"sha256": "0" * 64},
+            lambda sha, table: {"version": evaluation._CACHE_VERSION + 1},
+            lambda sha, table: {"table": table.astype(table.dtype.newbyteorder(">"))},
+            lambda sha, table: {"table": table[:, None]},
+            lambda sha, table: {"table": np.array([{"pickled": 1}], dtype=object)},
+            lambda sha, table: {"sha256": np.array([sha, sha])},
+        ],
+        ids=["other_digest", "other_version", "big_endian", "two_dimensional", "pickled", "digest_not_a_scalar"],
+    )
+    def test_unusable_sidecar_is_a_miss_and_a_rewrite(self, tmp_path, change):
+        path, sidecar = self.saved(tmp_path)
+        fresh = load_dataset(path)
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        with np.load(sidecar) as stored:
+            table = stored["table"]
+        self.forge(sidecar, path, **{"table": table, **change(sha, table)})
+        with mock.patch.object(evaluation, "_parse_table", wraps=evaluation._parse_table) as parse:
+            self.assert_same_arrays(load_dataset(path), fresh)
+        assert parse.call_count == 1
+        with mock.patch.object(evaluation, "_parse_table", side_effect=AssertionError("parsed again")):
+            self.assert_same_arrays(load_dataset(path), fresh)  # the rewritten sidecar is a hit
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("f", np.nan, ":2: non-finite feature value"), ("split", "holdout", "unknown split tags")],
+        ids=["nan_feature", "unknown_split"],
+    )
+    def test_forged_sidecar_is_still_validated(self, tmp_path, field, value, message):
+        path, sidecar = self.saved(tmp_path)
+        load_dataset(path)
+        with np.load(sidecar) as stored:
+            table = stored["table"]
+        table[field][0] = value
+        self.forge(sidecar, path, table=table)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("when", ["on_open", "after_writing"])
+    def test_unwritable_directory_still_loads(self, tmp_path, monkeypatch, when):
+        path, sidecar = self.saved(tmp_path)
+        real = evaluation.open_artifact
+
+        @contextmanager
+        def refused(target, mode="w"):
+            if when == "on_open":
+                raise PermissionError(13, "Permission denied", str(target))
+            with real(target, mode) as fh:
+                yield fh
+                raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(evaluation, "open_artifact", refused)
+        loaded = load_dataset(path)
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        self.assert_same_arrays(loaded, load_dataset(path))
+
+    @pytest.mark.parametrize(
+        "plant", ["group_writable", "other_writable", "foreign_owner", "symlink", "fifo", "directory"]
+    )
+    def test_untrusted_sidecar_is_neither_read_nor_replaced(self, tmp_path, plant):
+        path, sidecar = self.saved(tmp_path)
+        fresh = load_dataset(path)
+        with np.load(sidecar) as stored:
+            table = stored["table"]
+        table["f"][0, 0] += 1.0  # another table that passes every check
+        sidecar.unlink()
+        if plant == "foreign_owner" and os.geteuid() != 0:
+            pytest.skip("giving a file to another user needs root")
+        if plant in ("group_writable", "other_writable", "foreign_owner"):
+            self.forge(sidecar, path, table=table)
+            os.chmod(sidecar, {"group_writable": 0o664, "other_writable": 0o646}.get(plant, 0o644))
+            if plant == "foreign_owner":
+                os.chown(sidecar, os.geteuid() + 1, -1)
+        elif plant == "symlink":
+            self.forge(tmp_path / "target.npz", path, table=table)
+            sidecar.symlink_to(tmp_path / "target.npz")
+        elif plant == "fifo":
+            os.mkfifo(sidecar)
+        else:
+            sidecar.mkdir()
+        before = os.lstat(sidecar)
+        with mock.patch.object(evaluation, "_parse_table", wraps=evaluation._parse_table) as parse:
+            self.assert_same_arrays(load_dataset(path), fresh)
+        assert parse.call_count == 1
+        after = os.lstat(sidecar)
+        assert (after.st_ino, after.st_mode, after.st_uid, after.st_mtime_ns) == (
+            before.st_ino, before.st_mode, before.st_uid, before.st_mtime_ns
+        )
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_untrusted_sidecar_does_not_hide_a_malformed_csv(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        load_dataset(path)
+        with np.load(sidecar) as stored:
+            table = stored["table"]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        self.forge(sidecar, path, table=table)
+        os.chmod(sidecar, 0o664)
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load_dataset(path)
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="giving files to another user needs root")
+    def test_sidecar_owned_by_the_csv_owner_is_trusted(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        cold = load_dataset(path)
+        for p in (path, sidecar):
+            os.chown(p, os.geteuid() + 1, -1)
+        with mock.patch.object(evaluation, "_parse_table", side_effect=AssertionError("parsed again")):
+            self.assert_same_arrays(load_dataset(path), cold)
+
+    def test_sidecar_written_under_a_group_writable_umask_is_trusted(self, tmp_path):
+        path, sidecar = self.saved(tmp_path)
+        old = os.umask(0o002)
+        try:
+            cold = load_dataset(path)
+        finally:
+            os.umask(old)
+        assert sidecar.stat().st_mode & 0o022 == 0
+        with mock.patch.object(evaluation, "_parse_table", side_effect=AssertionError("parsed again")):
+            self.assert_same_arrays(load_dataset(path), cold)
+
+    def test_cache_version_is_pinned_to_the_parser_output(self):
+        """If this digest changes, the parser's output did: bump
+        ``_CACHE_VERSION`` with it, or old sidecars keep the old table."""
+        raw = (
+            b'id,camera,split,f0,f1\r\n1,0,train,0.5,"-1.25"\r\n"2",1,query,1e-300,3\r\n'
+            b"2,2,gallery,0.1,2.5e10\r\n3,0,gallery_extra,7,-0.0\r\n"
+        )
+        table = evaluation._parse_table(decode_text(raw, "pin.csv").split("\n"), "pin.csv")
+        digest = hashlib.sha256(repr(table.dtype.descr).encode() + table.tobytes()).hexdigest()
+        assert (evaluation._CACHE_VERSION, digest) == (
+            1,
+            "d6ace16162153b9749cf693bbad3ae359dbb5fdb1b62e3b52040275115dd0df4",
+        )
+
+    def test_cli_eval_cold_then_warm_gives_the_same_bytes(self, tmp_path, capsys):
+        path, sidecar = self.saved(tmp_path)
+        save_checkpoint(build_model(5, (6,), 4, 4, seed=1), tmp_path / "m.svdn")
+        outputs = []
+        for run in ("cold", "warm"):
+            assert sidecar.exists() == (run == "warm")
+            argv = ["eval", "--out", str(tmp_path / run), "--dataset", str(path), "--ckpt", str(tmp_path / "m.svdn")]
+            assert main(argv) == 0
+            outputs.append(((tmp_path / run / "report.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
 
 class TestL2Normalize:

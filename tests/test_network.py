@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import pickle
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -270,6 +272,48 @@ class TestParameterVector:
         assert_one_parameter_vector(model)
 
 
+class TestShapeChecks:
+    @pytest.mark.parametrize(
+        "backbone, eigen, cls_weight, cls_bias, message",
+        [
+            ([((4, 5), (5,))], (6, 3), (3, 2), (2,), "layer shapes do not chain (5 -> 6)"),
+            ([((4, 5), (5,)), ((4, 6), (6,))], (6, 3), (3, 2), (2,), "layer shapes do not chain (5 -> 4)"),
+            ([((4, 5), (5,))], (5, 3), (4, 2), (2,), "layer shapes do not chain (3 -> 4)"),
+            ([((4, 5), (4,))], (5, 3), (3, 2), (2,), "backbone0.bias must have shape (5,), got (4,)"),
+            ([((4, 5), (5,))], (5, 3), (3, 2), (1, 2), "classifier.bias must have shape (2,), got (1, 2)"),
+            ([((20,), (5,))], (5, 3), (3, 2), (2,), "backbone0.weight must be 2-D, got shape (20,)"),
+            ([], (5,), (3, 2), (2,), "eigenlayer must be 2-D, got shape (5,)"),
+        ],
+        ids=["backbone_to_eigenlayer", "backbone_to_backbone", "eigenlayer_to_classifier", "backbone_bias",
+             "classifier_bias", "backbone_weight_1d", "eigenlayer_1d"],
+    )
+    def test_bad_shape_rejected_when_made(self, backbone, eigen, cls_weight, cls_bias, message):
+        layers = [AffineLayer(np.ones(w), np.ones(b)) for w, b in backbone]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            EigenModel(layers, np.ones(eigen), AffineLayer(np.ones(cls_weight), np.ones(cls_bias)))
+
+    def test_load_checkpoint_names_the_file(self, tmp_path):
+        # a 2x3 backbone layer, then a 4x2 eigenlayer: the widths 3 and 4 do not chain
+        blob = CHECKPOINT_MAGIC + struct.pack("<HH", 1, 3)
+        for role, rows, cols, bias in ((0, 2, 3, True), (1, 4, 2, False), (2, 2, 2, True)):
+            blob += struct.pack("<BII", role, rows, cols) + np.zeros(rows * cols).tobytes()
+            blob += struct.pack("<B", bias) + (np.zeros(cols).tobytes() if bias else b"")
+        path = tmp_path / "chain.svdn"
+        path.write_bytes(blob)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: layer shapes do not chain (3 -> 4)")):
+            load_checkpoint(path)
+
+
+class TestIdentity:
+    def test_models_compare_and_hash_by_identity(self):
+        model = tiny_model()
+        dup = model.copy()
+        assert model == model and (model == dup) is False and model != dup
+        assert hash(model) == hash(model) and len({model, dup}) == 2
+        assert model.backbone[0] == model.backbone[0] and model.backbone[0] != dup.backbone[0]
+        assert len({model.classifier, dup.classifier}) == 2
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = tiny_model(seed=23)
@@ -284,8 +328,6 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
 
     def test_wire_format_layout(self, tmp_path):
-        import struct
-
         model = EigenModel(
             backbone=[AffineLayer(np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0, 3.0]))],
             eigenlayer=np.arange(6.0).reshape(3, 2) / 7.0,
