@@ -21,7 +21,7 @@ import io
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,81 +39,77 @@ SPLITS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 QUERY_BLOCK = 64
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RetrievalDataset:
-    """Labelled feature rows partitioned into train / query / gallery."""
+    """Labelled feature rows partitioned into train / query / gallery.
+
+    Making a dataset checks it: ``features`` is a finite 2-D array, and
+    ``ids``, ``cameras`` and ``split`` become arrays of one entry per row,
+    each tag one of SPLITS.  Each split's rows and the identity pairs that
+    scoring reads are found once, here.  Fields cannot be rebound; datasets
+    compare and hash by identity.  A query without a cross-camera match is
+    allowed: ``evaluate`` excludes it and ``load_dataset`` rejects it."""
 
     features: np.ndarray  # (n, d) float64
     ids: np.ndarray       # (n,) int64 identity labels
     cameras: np.ndarray   # (n,) int64 camera labels
     split: np.ndarray     # (n,) unicode, each one of SPLITS
+    _rows: dict[str, np.ndarray] = field(init=False, repr=False)
+    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "features", as_matrix(self.features, "features"))
+        for name in ("ids", "cameras", "split"):
+            arr = np.asarray(getattr(self, name))
+            if arr.shape != (self.features.shape[0],):
+                raise ValidationError(f"{name} must have one entry per row, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+        bad = set(np.unique(self.split).tolist()) - set(SPLITS)
+        if bad:
+            raise ValidationError(f"unknown split tags {sorted(map(str, bad))}; expected one of {SPLITS}")
+        object.__setattr__(self, "_rows", {tag: np.flatnonzero(self.split == tag) for tag in SPLITS})
+        object.__setattr__(self, "_pairs", _id_pairs(self))
 
     @property
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def _mask(self, tag: str) -> np.ndarray:
-        return self.split == tag
-
     @property
     def train_features(self) -> np.ndarray:
-        return self.features[self._mask(SPLIT_TRAIN)]
+        return self.features[self._rows[SPLIT_TRAIN]]
 
     @property
     def train_ids(self) -> np.ndarray:
-        return self.ids[self._mask(SPLIT_TRAIN)]
+        return self.ids[self._rows[SPLIT_TRAIN]]
 
     @property
     def query_features(self) -> np.ndarray:
-        return self.features[self._mask(SPLIT_QUERY)]
+        return self.features[self._rows[SPLIT_QUERY]]
 
     @property
     def query_ids(self) -> np.ndarray:
-        return self.ids[self._mask(SPLIT_QUERY)]
+        return self.ids[self._rows[SPLIT_QUERY]]
 
     @property
     def query_cameras(self) -> np.ndarray:
-        return self.cameras[self._mask(SPLIT_QUERY)]
+        return self.cameras[self._rows[SPLIT_QUERY]]
 
     @property
     def gallery_features(self) -> np.ndarray:
-        return self.features[self._mask(SPLIT_GALLERY)]
+        return self.features[self._rows[SPLIT_GALLERY]]
 
     @property
     def gallery_ids(self) -> np.ndarray:
-        return self.ids[self._mask(SPLIT_GALLERY)]
+        return self.ids[self._rows[SPLIT_GALLERY]]
 
     @property
     def gallery_cameras(self) -> np.ndarray:
-        return self.cameras[self._mask(SPLIT_GALLERY)]
-
-    def validate(self) -> "RetrievalDataset":
-        """Check structural invariants; raises ValidationError on the first
-        violation.  Every query identity must appear in the gallery under
-        at least one different camera, otherwise it could never be matched
-        after junk filtering."""
-        self.features = as_matrix(self.features, "features")
-        n = self.features.shape[0]
-        for name, arr in (("ids", self.ids), ("cameras", self.cameras), ("split", self.split)):
-            if np.asarray(arr).shape != (n,):
-                raise ValidationError(f"{name} must have one entry per row, got {np.asarray(arr).shape}")
-        bad = set(np.unique(self.split)) - set(SPLITS)
-        if bad:
-            raise ValidationError(f"unknown split tags {sorted(bad)}; expected one of {SPLITS}")
-        q_ids, q_cams = self.query_ids, self.query_cameras
-        pair_q, _, is_junk = _id_pairs(self)
-        bad = np.bincount(pair_q[~is_junk], minlength=q_ids.shape[0]) == 0
-        if bad.any():
-            qi = int(np.argmax(bad))
-            raise ValidationError(
-                f"query identity {q_ids[qi]} (camera {q_cams[qi]}) has no gallery sample under a different camera"
-            )
-        return self
+        return self.cameras[self._rows[SPLIT_GALLERY]]
 
 
 def require_queries(dataset: RetrievalDataset, source: str = "dataset") -> None:
     """Raise ValidationError naming ``source`` unless the dataset has query
-    rows; ``validate`` accepts a table without them, retrieval cannot."""
+    rows; a dataset may be made without them, retrieval cannot use it."""
     if dataset.query_ids.size == 0:
         raise ValidationError(f"{source} has an empty query split; retrieval scoring needs query rows")
 
@@ -132,7 +128,18 @@ def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.nda
     return pair_q, pair_g, dataset.gallery_cameras[pair_g] == dataset.query_cameras[pair_q]
 
 
-@dataclass
+def _validate_cross_camera(dataset: RetrievalDataset) -> None:
+    """Raise ValidationError naming the first query whose identity has no
+    gallery row under another camera: junk filtering leaves it no match."""
+    pair_q, _, is_junk = dataset._pairs
+    unmatched = np.bincount(pair_q[~is_junk], minlength=dataset.query_ids.shape[0]) == 0
+    if unmatched.any():
+        qi = int(np.argmax(unmatched))
+        q_id, q_cam = dataset.query_ids[qi], dataset.query_cameras[qi]
+        raise ValidationError(f"query identity {q_id} (camera {q_cam}) has no gallery sample under a different camera")
+
+
+@dataclass(frozen=True, eq=False)
 class RankingReport:
     """Aggregate retrieval quality: the cumulative matching curve indexed
     by rank (1-based; entry r-1 is the rank-r accuracy), the mean average
@@ -214,13 +221,12 @@ def generate_synthetic(
                 else:
                     split.append(SPLIT_QUERY if s == 0 else SPLIT_GALLERY)
 
-    dataset = RetrievalDataset(
+    return RetrievalDataset(
         features=np.asarray(rows, dtype=np.float64),
         ids=np.asarray(ids, dtype=np.int64),
         cameras=np.asarray(cams, dtype=np.int64),
         split=np.asarray(split),
     )
-    return dataset.validate()
 
 
 def _check_features(query_feats, gallery_feats) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +265,7 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     before every positive and flags exact ties, the only case that needs
     an explicit count of lower-index equal rows."""
     n_query, n_gallery = dataset.query_ids.shape[0], dataset.gallery_ids.shape[0]
-    pair_q, pair_g, is_junk = _id_pairs(dataset)
+    pair_q, pair_g, is_junk = dataset._pairs
     pos_q, pos_g = pair_q[~is_junk], pair_g[~is_junk]
     junk_q, junk_g = pair_q[is_junk], pair_g[is_junk]
     n_pos = np.bincount(pos_q, minlength=n_query)
@@ -440,7 +446,8 @@ def load_dataset(path) -> RetrievalDataset:
         ids=np.ascontiguousarray(table["id"]),
         cameras=np.ascontiguousarray(table["camera"]),
         split=np.ascontiguousarray(table["split"]),
-    ).validate()
+    )
+    _validate_cross_camera(dataset)
     if parsed and replaceable:
         try:
             with open_artifact(sidecar, "wb") as fh:

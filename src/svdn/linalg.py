@@ -26,7 +26,10 @@ _EPILOGUE_ENTRIES = 1 << 15
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 2-D array or raise ValidationError."""
-    m = np.asarray(a, dtype=np.float64)
+    try:
+        m = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a non-number, or ragged rows
+        raise ValidationError(f"{name}: expected a numeric 2-D array ({exc})") from None
     if m.ndim != 2:
         raise ValidationError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:

@@ -310,6 +310,9 @@ def run_dim_sweep(data: RetrievalDataset, schedule: RriSchedule, dims) -> list[t
     bad = [dim for dim in dims if not 1 <= dim <= n_backbone_out]
     if bad:
         raise ValidationError(f"sweep dims {bad} must lie in 1..{n_backbone_out}, the backbone output width")
+    repeated = sorted({dim for dim in dims if dims.count(dim) > 1})
+    if repeated:
+        raise ValidationError(f"sweep dims {repeated} are given more than once; each width is trained once")
     widths = [replace(schedule, eigen_dim=dim) for dim in dims]
     results = []
     for width in widths:

@@ -6,13 +6,14 @@ import ast
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import svdn
 from svdn.errors import open_artifact, write_csv
-from svdn.evaluation import RetrievalDataset, generate_synthetic, load_dataset, save_dataset
+from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
 
 PACKAGE = Path(svdn.__file__).parent
 
@@ -31,7 +32,11 @@ class RowsFailingAt:
 
 
 def failing_copy(dataset, stop):
-    return RetrievalDataset(RowsFailingAt(dataset.features, stop), dataset.ids, dataset.cameras, dataset.split)
+    """What ``save_dataset`` reads of ``dataset``, with a failing row source:
+    a dataset itself only takes a finite matrix as its features."""
+    return SimpleNamespace(
+        dim=dataset.dim, features=RowsFailingAt(dataset.features, stop), ids=dataset.ids, cameras=dataset.cameras, split=dataset.split
+    )
 
 
 class TestOpenArtifact:

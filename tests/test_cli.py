@@ -231,6 +231,24 @@ def test_dataset_without_queries_exits_2_naming_file_and_split(
     assert forward == []
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda i, f: f[:2] + ["holdout" if i == 0 else f[2]] + f[3:], "error: unknown split tags ['holdout']; expected"),
+        (lambda i, f: f[:1] + ["0"] + f[2:], ") has no gallery sample under a different camera"),
+    ],
+    ids=["unknown_split", "query_without_cross_camera_match"],
+)
+def test_eval_on_malformed_dataset_exits_2_naming_the_fault(tmp_path, config_path, dataset_path, trained, capsys, edit, message):
+    header, *rows = dataset_path.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header] + [",".join(edit(i, row.split(","))) for i, row in enumerate(rows)]) + "\n")
+    out = tmp_path / "out"
+    assert main(_scoring_argv("eval", config_path, out, trained / "ckpt_final.svdn", bad)) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "diagnose"])
 def test_checkpoint_dataset_width_mismatch_exits_2_naming_both(tmp_path, config_path, trained, capsys, command):
     wide = tmp_path / "wide"
@@ -490,6 +508,14 @@ class TestSweepDim:
         rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", " , "])
         assert rc == 2
         assert "'--dims': expected at least one dimension" in capsys.readouterr().err
+
+    def test_repeated_dims_rejected_before_training(self, tmp_path, config_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("svdn.trainer.train_step0", lambda *a, **k: calls.append(a))
+        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", "6,4,8,4,6"])
+        assert rc == 2
+        assert "sweep dims [4, 6] are given more than once" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "sweep_dim.csv").exists()
 
 
 def _sample_text(key, dataset_path):

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from svdn.decorrelate import DecorrMethod, apply
 from svdn.errors import DegeneracyError, NumericError, ValidationError, decode_text
 from svdn.evaluation import (
     QUERY_BLOCK,
+    SPLITS,
     RankingReport,
     RetrievalDataset,
     evaluate,
@@ -48,6 +50,28 @@ FINITE = st.one_of(
 )
 # identity and camera labels, negative and beyond 32 bits
 LABELS = st.sampled_from([-(2**40), -1, 2**40])
+
+
+@st.composite
+def dataset_fields(draw, max_rows=24):
+    """The fields of a dataset, as lists or as arrays.  Small integer
+    features and labels make distance ties, junk rows and queries without
+    a cross-camera match common."""
+    n, d = draw(st.integers(1, max_rows)), draw(st.integers(1, 3))
+    column = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    fields = {
+        "features": draw(column(st.lists(st.integers(0, 2).map(float), min_size=d, max_size=d))),
+        "ids": draw(column(st.integers(0, 3))),
+        "cameras": draw(column(st.integers(0, 2))),
+        "split": draw(column(st.sampled_from(SPLITS))),
+    }
+    if draw(st.booleans()):
+        fields = {name: np.array(value) for name, value in fields.items()}
+    return fields
+
+
+# a dataset is only ever drawn through its constructor
+datasets = dataset_fields().map(lambda fields: RetrievalDataset(**fields))
 
 # measured once on the default generator configuration and frozen as a
 # regression bound (+/- 0.1)
@@ -203,7 +227,7 @@ class TestEvaluate:
             ids=np.concatenate([ds.ids[~mask], ds.ids[mask][perm]]),
             cameras=np.concatenate([ds.cameras[~mask], ds.cameras[mask][perm]]),
             split=np.concatenate([ds.split[~mask], ds.split[mask][perm]]),
-        ).validate()
+        )
         other = evaluate(shuffled, rank_gallery(shuffled.query_features, shuffled.gallery_features))
         assert abs(base.map - other.map) <= 1e-12
         assert np.abs(base.cmc - other.cmc).max() <= 1e-12
@@ -247,6 +271,23 @@ def with_duplicates_and_extra_positives(ds, g, n_cams, rng, n_dup, max_extra):
     return manual_dataset(q_ids, q_cams, g_ids[order], g_cams[order]), g[order]
 
 
+@st.composite
+def tie_heavy_cases(draw):
+    """``tie_heavy_case`` with duplicated gallery rows and extra positives."""
+    seed, n_query, n_cams = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 30)), draw(st.integers(2, 4))
+    n_gallery, n_ids, dim = n_query + draw(st.integers(1, 30)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    ds, q, g = tie_heavy_case(seed, n_query, n_gallery, n_ids, n_cams, dim)
+    rng = np.random.default_rng(seed)
+    ds, g = with_duplicates_and_extra_positives(ds, g, n_cams, rng, draw(st.integers(0, 20)), draw(st.integers(0, 12)))
+    return ds, q, g
+
+
+# drawn datasets that retrieval can score: unmatched queries included
+drawn_cases = datasets.filter(lambda ds: ds.query_ids.size and ds.gallery_ids.size).map(
+    lambda ds: (ds, ds.query_features, ds.gallery_features)
+)
+
+
 def assert_same_report(a, b):
     assert np.array_equal(a.cmc, b.cmc)
     assert np.array_equal(a.per_query_ap, b.per_query_ap)
@@ -273,31 +314,24 @@ class TestEvaluateFeatures:
         with pytest.warns(UserWarning):
             assert_same_report(got, evaluate(ds, rank_gallery(q, g)))
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_query=st.integers(2, 30),
-        extra_gallery=st.integers(1, 30),
-        n_ids=st.integers(1, 6),
-        n_cams=st.integers(2, 4),
-        dim=st.integers(1, 3),
-        block=st.integers(1, 8),
-        n_dup=st.integers(0, 20),
-        max_extra=st.integers(0, 12),
-    )
-    def test_property_matches_ranked_path_and_oracle(
-        self, seed, n_query, extra_gallery, n_ids, n_cams, dim, block, n_dup, max_extra
-    ):
-        ds, q, g = tie_heavy_case(seed, n_query, n_query + extra_gallery, n_ids, n_cams, dim)
-        ds, g = with_duplicates_and_extra_positives(ds, g, n_cams, np.random.default_rng(seed), n_dup, max_extra)
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(tie_heavy_cases(), drawn_cases), block=st.integers(1, 8))
+    def test_property_matches_ranked_path_and_oracle(self, case, block):
+        ds, q, g = case
+        args = (ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras)
+        aps = loop_rank_aps(*args, loop_sq_dists(q, g))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with mock.patch.object(evaluation, "QUERY_BLOCK", block):
+                if aps.size == 0:  # a drawn dataset whose queries are all unmatched
+                    for score in (lambda: evaluate_features(ds, q, g), lambda: evaluate(ds, rank_gallery(q, g))):
+                        with pytest.raises(DegeneracyError):
+                            score()
+                    return
                 got = evaluate_features(ds, q, g)
             ranked = rank_gallery(q, g)
             assert_same_report(got, evaluate(ds, ranked))
-        args = (ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras)
-        assert np.array_equal(got.per_query_ap, loop_rank_aps(*args, loop_sq_dists(q, g)))
+        assert np.array_equal(got.per_query_ap, aps)
         cmc, mean_ap, _, excluded = oracle_evaluate(*args, ranked)
         assert excluded == got.excluded_queries
         assert np.abs(got.cmc - cmc).max() <= 1e-12
@@ -396,7 +430,21 @@ class TestGenerator:
         assert len(train_ids) == 5
         # one query per (identity, camera) cell of the test identities
         assert ds.query_features.shape[0] == len(test_ids) * 3
-        ds.validate()
+        evaluation._validate_cross_camera(ds)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        identities=st.integers(2, 9),
+        cameras=st.integers(2, 4),
+        samples=st.integers(2, 4),
+        dim=st.integers(1, 6),
+        noise=st.floats(0.0, 2.0),
+        camera_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_query_has_a_cross_camera_match(self, identities, cameras, samples, dim, noise, camera_scale, seed):
+        ds = generate_synthetic(identities, cameras, samples, dim, noise, camera_scale, seed)
+        assert loop_first_unmatched_query(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras) is None
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -418,8 +466,66 @@ class TestGenerator:
             cameras=np.zeros_like(ds.cameras),  # all one camera
             split=ds.split.copy(),
         )
-        with pytest.raises(ValidationError):
-            bad.validate()
+        with pytest.raises(ValidationError, match="has no gallery sample under a different camera"):
+            evaluation._validate_cross_camera(bad)
+
+
+class TestDatasetValue:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets)
+    def test_split_properties_are_the_mask_selections(self, ds):
+        for tag in SPLITS:
+            mask = ds.split == tag
+            for name in ("features", "ids", "cameras"):
+                got = getattr(ds, f"{tag}_{name}", None)
+                if got is not None:
+                    want = getattr(ds, name)[mask]
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=dataset_fields())
+    def test_list_fields_make_the_array_dataset(self, fields):
+        listed = RetrievalDataset(**{name: np.asarray(value).tolist() for name, value in fields.items()})
+        arrays = RetrievalDataset(**{name: np.asarray(value) for name, value in fields.items()})
+        for name in ("features", "ids", "cameras", "split", "query_ids", "gallery_cameras"):
+            got, want = getattr(listed, name), getattr(arrays, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert listed.features.dtype == np.float64
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=dataset_fields(), name=st.sampled_from(["ids", "cameras", "split"]))
+    def test_field_one_entry_short_rejected(self, fields, name):
+        fields[name] = fields[name][:-1]
+        with pytest.raises(ValidationError, match=f"^{name} must have one entry per row"):
+            RetrievalDataset(**fields)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=dataset_fields(), row=st.integers(0, 23))
+    def test_unknown_tag_named_as_plain_text(self, fields, row):
+        split = list(fields["split"])
+        split[row % len(split)] = "holdout"
+        with pytest.raises(ValidationError, match=re.escape("unknown split tags ['holdout']; expected one of")):
+            RetrievalDataset(**{**fields, "split": np.array(split)})
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=dataset_fields(), row=st.integers(0, 23), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_feature_rejected(self, fields, row, value):
+        features = np.array(fields["features"])
+        features[row % len(features), 0] = value
+        with pytest.raises(ValidationError, match="^features: contains non-finite entries"):
+            RetrievalDataset(**{**fields, "features": features})
+
+    def test_fields_cannot_be_rebound(self):
+        ds = small_dataset()
+        with pytest.raises(FrozenInstanceError):
+            ds.features = ds.features[:1]
+
+    def test_datasets_and_reports_compare_by_identity(self):
+        a, b = generate_synthetic(), generate_synthetic()
+        ra, rb = (evaluate_features(ds, ds.query_features, ds.gallery_features) for ds in (a, b))
+        for x, y in ((a, b), (ra, rb)):
+            assert x == x and x != y
+            assert hash(x) == hash(x) and len({x, y}) == 2
 
 
 class TestValidate:
@@ -435,11 +541,11 @@ class TestValidate:
         )
         first = loop_first_unmatched_query(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras)
         if first is None:
-            ds.validate()
+            evaluation._validate_cross_camera(ds)
         else:
             named = f"query identity {ds.query_ids[first]} (camera {ds.query_cameras[first]}) has no"
             with pytest.raises(ValidationError, match=re.escape(named)):
-                ds.validate()
+                evaluation._validate_cross_camera(ds)
 
 
 class TestCsvRoundTrips:

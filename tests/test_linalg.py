@@ -153,6 +153,11 @@ class TestPairwiseSqDist:
         with pytest.raises(ValidationError):
             pairwise_sq_dist(np.ones((2, 3)), np.ones((2, 4)))
 
+    @pytest.mark.parametrize("bad", [[["a"]], [[object()]], [[1.0, 2.0], [3.0]]], ids=["string", "object", "ragged"])
+    def test_malformed_input_named(self, bad):
+        with pytest.raises(ValidationError, match="^a: expected a numeric 2-D array"):
+            pairwise_sq_dist(bad, [[1.0]])
+
     def test_common_offset_identical_pair_exact_zero(self):
         rng = np.random.default_rng(3)
         a = 1e6 + rng.normal(size=(20, 8))

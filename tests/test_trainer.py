@@ -337,7 +337,7 @@ class TestFusedStep:
         keep = small_data.split == "train"
         train_only = RetrievalDataset(
             small_data.features[keep], small_data.ids[keep], small_data.cameras[keep], small_data.split[keep]
-        ).validate()
+        )
         calls = []
         monkeypatch.setattr("svdn.trainer._grads_into", lambda *args: calls.append(args))
         for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
