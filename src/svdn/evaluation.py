@@ -20,8 +20,10 @@ import hashlib
 import io
 import os
 import stat
+import sys
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,9 @@ class RetrievalDataset:
 
     Making a dataset checks it: ``features`` is a finite 2-D array, and
     ``ids``, ``cameras`` and ``split`` become arrays of one entry per row,
-    each tag one of SPLITS.  Each split's rows and the identity pairs that
+    each tag one of SPLITS.  Labels are what the CSV holds: of a dtype that
+    casts safely to int64 (so no float, string, object or uint64), stored
+    as contiguous int64.  Each split's rows and the identity pairs that
     scoring reads are found once, here.  Fields cannot be rebound; datasets
     compare and hash by identity.  A query without a cross-camera match is
     allowed: ``evaluate`` excludes it and ``load_dataset`` rejects it."""
@@ -63,6 +67,10 @@ class RetrievalDataset:
             arr = np.asarray(getattr(self, name))
             if arr.shape != (self.features.shape[0],):
                 raise ValidationError(f"{name} must have one entry per row, got {arr.shape}")
+            if name != "split":
+                if not np.can_cast(arr.dtype, np.int64):
+                    raise ValidationError(f"{name} must be integer labels that int64 holds, got dtype {arr.dtype}")
+                arr = np.ascontiguousarray(arr, dtype=np.int64)
             object.__setattr__(self, name, arr)
         bad = set(np.unique(self.split).tolist()) - set(SPLITS)
         if bad:
@@ -180,21 +188,20 @@ def generate_synthetic(
     query and the rest are gallery, which guarantees every query has a
     cross-camera positive.
     """
-    if identities < 2:
-        raise ValidationError(f"need at least 2 identities, got {identities}")
-    if cameras < 2:
-        raise ValidationError(f"need at least 2 cameras, got {cameras}")
-    if samples_per_id_camera < 2:
-        raise ValidationError(
-            "need at least 2 samples per identity-camera cell; with 1 the gallery "
-            "would hold no cross-camera positives for any query"
-        )
-    if dim < 1:
-        raise ValidationError(f"feature dimension must be >= 1, got {dim}")
-    if noise < 0 or camera_scale < 0:
-        raise ValidationError("noise and camera_scale must be non-negative")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    for name, value, low in (
+        ("identities", identities, 2),
+        ("cameras", cameras, 2),
+        ("samples_per_id_camera", samples_per_id_camera, 2),  # with 1, no query has a cross-camera positive
+        ("dim", dim, 1),
+        ("seed", seed, 0),
+    ):
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    # a numpy integer would carry its dtype into the arithmetic: np.sqrt of a uint8 is float16
+    identities, cameras, samples_per_id_camera, dim, seed = map(int, (identities, cameras, samples_per_id_camera, dim, seed))
+    for name, value in (("noise", noise), ("camera_scale", camera_scale)):
+        if not (isinstance(value, Real) and 0 <= value <= sys.float_info.max):  # NaN fails too
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
     rng = np.random.default_rng(seed)
     rank = max(1, dim // 2)
@@ -206,26 +213,17 @@ def generate_synthetic(
     cam_shifts = rng.normal(size=(cameras, dim)) * camera_scale
     eps = rng.normal(size=(identities, cameras, samples_per_id_camera, dim)) * noise
     order = rng.permutation(identities)
-    train_ids = set(order[: identities // 2].tolist())
 
-    rows, ids, cams, split = [], [], [], []
-    for i in range(identities):
-        for c in range(cameras):
-            base = centers[i] @ cam_mats[c] + cam_shifts[c]
-            for s in range(samples_per_id_camera):
-                rows.append(base + eps[i, c, s])
-                ids.append(i)
-                cams.append(c)
-                if i in train_ids:
-                    split.append(SPLIT_TRAIN)
-                else:
-                    split.append(SPLIT_QUERY if s == 0 else SPLIT_GALLERY)
-
+    # one vector-matrix product per (identity, camera) cell: a batched product
+    # rounds differently and would change the dataset bytes; rows run identity-major
+    bases = np.array([[centers[i] @ cam_mats[c] + cam_shifts[c] for c in range(cameras)] for i in range(identities)])
+    ids, cams, sample = np.indices(eps.shape[:3]).reshape(3, -1)
+    query_or_gallery = np.where(sample == 0, SPLIT_QUERY, SPLIT_GALLERY)
     return RetrievalDataset(
-        features=np.asarray(rows, dtype=np.float64),
-        ids=np.asarray(ids, dtype=np.int64),
-        cameras=np.asarray(cams, dtype=np.int64),
-        split=np.asarray(split),
+        features=(bases[:, :, None] + eps).reshape(-1, dim),
+        ids=ids,
+        cameras=cams,
+        split=np.where(np.isin(ids, order[: identities // 2]), SPLIT_TRAIN, query_or_gallery),
     )
 
 
@@ -384,13 +382,18 @@ def l2_normalize(feats) -> np.ndarray:
     return feats / np.where(norms == 0.0, 1.0, norms)
 
 
-# Dataset CSV: header id,camera,split,f0..f{d-1}; floats via repr() so the
-# round-trip is value-exact and the bytes are reproducible.
+def _header(d: int) -> list[str]:
+    """The dataset CSV header for ``d`` features: id,camera,split,f0..f{d-1}."""
+    return ["id", "camera", "split"] + [f"f{j}" for j in range(d)]
+
+
 def save_dataset(dataset: RetrievalDataset, path) -> None:
-    d = dataset.dim
-    labels = zip(dataset.ids.astype(np.int64).tolist(), dataset.cameras.astype(np.int64).tolist(), dataset.split.tolist())
+    """Write the dataset CSV, floats as their ``repr`` as in ``write_csv``, so
+    the round trip is exact.  Its ``csv.writer`` is not used: on Python 3.11
+    it scans each character of each cell and writes these rows 40 % slower."""
+    labels = zip(dataset.ids.tolist(), dataset.cameras.tolist(), dataset.split.tolist())
     with open_artifact(path) as fh:
-        fh.write(",".join(["id", "camera", "split"] + [f"f{j}" for j in range(d)]) + "\n")
+        fh.write(",".join(_header(dataset.dim)) + "\n")
         # one row of Python floats at a time keeps the transient memory small
         fh.writelines(
             f"{i},{c},{s},{','.join(map(repr, row.tolist()))}\n" for (i, c, s), row in zip(labels, dataset.features)
@@ -443,8 +446,8 @@ def load_dataset(path) -> RetrievalDataset:
         raise ValidationError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
     dataset = RetrievalDataset(
         features=np.ascontiguousarray(table["f"]),
-        ids=np.ascontiguousarray(table["id"]),
-        cameras=np.ascontiguousarray(table["camera"]),
+        ids=table["id"],
+        cameras=table["camera"],
         split=np.ascontiguousarray(table["split"]),
     )
     _validate_cross_camera(dataset)
@@ -498,7 +501,7 @@ def _parse_table(lines: list[str], path) -> np.ndarray:
     if body and body[-1] == "":
         body.pop()
     d = header.count(",") - 2
-    if d < 1 or header.split(",") != ["id", "camera", "split"] + [f"f{j}" for j in range(d)]:
+    if d < 1 or header.split(",") != _header(d):
         raise ValidationError(f"{path}: malformed header; expected id,camera,split,f0..f{{d-1}}")
     if not body:
         raise ValidationError(f"{path}: no rows after the header")

@@ -189,7 +189,6 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     if n < k:
         raise ValidationError(f"eigenlayer must be tall for decorrelation, got {n}x{k}")
     X = model._check_batch(X)
-    y = model._check_labels(y, X.shape[0])
     rows = y.shape[0]
     rng = np.random.default_rng([schedule.seed, stream])
 

@@ -216,6 +216,35 @@ def loop_first_unmatched_query(q_ids, q_cams, g_ids, g_cams):
     return None
 
 
+def loop_synthetic(identities, cameras, samples_per_id_camera, dim, noise, camera_scale, seed):
+    """The fields of ``generate_synthetic``'s dataset, one row at a time:
+    the generator's random draws, in its order, then one vector-matrix
+    product per (identity, camera) cell and one sum per row."""
+    rng = np.random.default_rng(seed)
+    rank = max(1, dim // 2)
+    basis = np.linalg.qr(rng.normal(size=(dim, rank)))[0].T
+    axis_sd = 0.75 ** np.arange(rank)
+    latents = rng.normal(size=(identities, rank)) * axis_sd
+    centers = latents @ basis * (np.sqrt(dim) / np.sqrt((axis_sd**2).sum()))
+    cam_mats = np.eye(dim) + rng.normal(size=(cameras, dim, dim)) * (camera_scale / np.sqrt(dim))
+    cam_shifts = rng.normal(size=(cameras, dim)) * camera_scale
+    eps = rng.normal(size=(identities, cameras, samples_per_id_camera, dim)) * noise
+    train_ids = set(rng.permutation(identities)[: identities // 2].tolist())
+    rows, ids, cams, split = [], [], [], []
+    for i in range(identities):
+        for c in range(cameras):
+            base = centers[i] @ cam_mats[c] + cam_shifts[c]
+            for s in range(samples_per_id_camera):
+                rows.append(base + eps[i, c, s])
+                ids.append(i)
+                cams.append(c)
+                if i in train_ids:
+                    split.append("train")
+                else:
+                    split.append("query" if s == 0 else "gallery")
+    return np.array(rows), ids, cams, split
+
+
 def csv_dataset_text(dataset):
     """A dataset CSV as written through ``csv.writer``, one field at a time."""
     out = io.StringIO()

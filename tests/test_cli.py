@@ -87,6 +87,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("flag, name", [("--noise", "noise"), ("--camera-scale", "camera_scale")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scale_exits_2_naming_it(self, tmp_path, capsys, flag, name, value):
+        rc = main(["gen", "--out", str(tmp_path), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite")
+        assert not (tmp_path / "dataset.csv").exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, trained):

@@ -40,6 +40,7 @@ from oracles import (
     loop_first_unmatched_query,
     loop_rank_aps,
     loop_sq_dists,
+    loop_synthetic,
     oracle_evaluate,
 )
 
@@ -50,6 +51,14 @@ FINITE = st.one_of(
 )
 # identity and camera labels, negative and beyond 32 bits
 LABELS = st.sampled_from([-(2**40), -1, 2**40])
+# labels as a caller may give them: a list, or an array of a dtype that
+# casts safely to int64, each with labels that dtype holds
+LABEL_FORMS = {
+    "list": (list, LABELS),
+    "int64": (lambda v: np.array(v, dtype=np.int64), LABELS),
+    "int32": (lambda v: np.array(v, dtype=np.int32), st.integers(-(2**31), 2**31 - 1)),
+    "uint32": (lambda v: np.array(v, dtype=np.uint32), st.integers(0, 2**32 - 1)),
+}
 
 
 @st.composite
@@ -446,17 +455,48 @@ class TestGenerator:
         ds = generate_synthetic(identities, cameras, samples, dim, noise, camera_scale, seed)
         assert loop_first_unmatched_query(ds.query_ids, ds.query_cameras, ds.gallery_ids, ds.gallery_cameras) is None
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        identities=st.integers(2, 9),
+        cameras=st.integers(2, 4),
+        samples=st.integers(2, 4),
+        dim=st.integers(1, 6),
+        noise=st.floats(0.0, 2.0),
+        camera_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_the_row_loop(self, identities, cameras, samples, dim, noise, camera_scale, seed):
+        ds = generate_synthetic(identities, cameras, samples, dim, noise, camera_scale, seed)
+        features, ids, cams, split = loop_synthetic(identities, cameras, samples, dim, noise, camera_scale, seed)
+        assert ds.features.tobytes() == features.tobytes()
+        assert (ds.ids.tolist(), ds.cameras.tolist(), ds.split.tolist()) == (ids, cams, split)
+
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            generate_synthetic(identities=1)
-        with pytest.raises(ValidationError):
-            generate_synthetic(cameras=1)
-        with pytest.raises(ValidationError):
-            generate_synthetic(samples_per_id_camera=1)
-        with pytest.raises(ValidationError):
-            generate_synthetic(noise=-0.1)
-        with pytest.raises(ValidationError, match="seed"):
-            generate_synthetic(seed=-1)
+        bad = [
+            ("identities", 1),
+            ("identities", 4.5),
+            ("identities", True),
+            ("cameras", 1),
+            ("cameras", "3"),
+            ("samples_per_id_camera", 1),
+            ("dim", 0),
+            ("dim", np.float64(3.0)),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("noise", -0.1),
+            ("noise", np.nan),
+            ("noise", "0.5"),
+            ("camera_scale", np.inf),
+            ("camera_scale", -np.inf),
+        ]
+        for name, value in bad:
+            with pytest.raises(ValidationError, match=f"^{name} must be "):
+                generate_synthetic(**{name: value})
+
+    def test_numpy_integer_parameters_accepted(self):
+        a = generate_synthetic(identities=np.int64(4), cameras=np.int32(2), dim=np.uint8(3), seed=np.int64(2))
+        b = generate_synthetic(identities=4, cameras=2, dim=3, seed=2)
+        assert a.features.tobytes() == b.features.tobytes()
 
     def test_cross_camera_invariant_enforced_by_validate(self):
         ds = small_dataset(seed=7)
@@ -514,6 +554,36 @@ class TestDatasetValue:
         features[row % len(features), 0] = value
         with pytest.raises(ValidationError, match="^features: contains non-finite entries"):
             RetrievalDataset(**{**fields, "features": features})
+
+    @pytest.mark.parametrize("name", ["ids", "cameras"])
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.5, 1.0, 2.0]),
+            np.array([0.0, 1.0, 2.0]),
+            np.array(["0", "1", "2"]),
+            np.array([None, 1, 2], dtype=object),
+            np.array([2**63, 1, 2], dtype=object),
+            np.array([0, 1, 2], dtype=np.uint64),
+        ],
+        ids=["float", "integral-float", "string", "object-None", "object-2**63", "uint64"],
+    )
+    def test_label_dtype_outside_int64_rejected(self, name, labels):
+        fields = {"features": np.zeros((3, 2)), "ids": [0, 1, 2], "cameras": [0, 1, 0], "split": ["query", "gallery", "gallery"]}
+        with pytest.raises(ValidationError, match=re.escape(f"{name} must be integer labels that int64 holds, got dtype {labels.dtype}")):
+            RetrievalDataset(**{**fields, name: labels})
+
+    def test_fractional_ids_rejected_when_made(self):
+        # 1.5 and 1.7 would score as two identities, and a CSV can hold neither
+        with pytest.raises(ValidationError, match="^ids must be integer labels that int64 holds, got dtype float64"):
+            RetrievalDataset(features=np.zeros((3, 1)), ids=[1.5, 1.7, 2.0], cameras=[0, 1, 0], split=["query", "gallery", "gallery"])
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int16, np.int32, np.uint32, np.int64])
+    def test_labels_are_stored_as_contiguous_int64(self, dtype):
+        labels = np.array([1, 0, 1, 0, 1, 0], dtype=dtype)[::2]
+        ds = RetrievalDataset(features=np.zeros((3, 1)), ids=labels, cameras=labels, split=["query", "gallery", "gallery"])
+        for got in (ds.ids, ds.cameras):
+            assert got.dtype == np.int64 and got.flags.c_contiguous and got.tolist() == labels.tolist()
 
     def test_fields_cannot_be_rebound(self):
         ds = small_dataset()
@@ -585,14 +655,15 @@ class TestCsvRoundTrips:
             with pytest.raises(ValidationError):
                 load_dataset(path)
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 5), n=st.integers(1, 8))
-    def test_round_trip_is_byte_exact(self, data, d, n):
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 5), n=st.integers(1, 8), form=st.sampled_from(sorted(LABEL_FORMS)))
+    def test_round_trip_is_byte_exact(self, data, d, n, form):
+        make, labels = LABEL_FORMS[form]
+        given_labels = {name: make(data.draw(st.lists(labels, min_size=n, max_size=n))) for name in ("ids", "cameras")}
         ds = RetrievalDataset(
             features=np.array(data.draw(st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=n, max_size=n))),
-            ids=np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
-            cameras=np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64),
             split=np.array(data.draw(st.lists(st.sampled_from(["train", "gallery"]), min_size=n, max_size=n))),
+            **given_labels,
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ds.csv"
@@ -600,8 +671,10 @@ class TestCsvRoundTrips:
             assert path.read_text() == csv_dataset_text(ds)
             loaded = load_dataset(path)
         assert loaded.features.tobytes() == ds.features.tobytes()
-        assert np.array_equal(loaded.ids, ds.ids)
-        assert np.array_equal(loaded.cameras, ds.cameras)
+        for name, given_values in given_labels.items():
+            assert getattr(ds, name).tolist() == np.asarray(given_values).tolist()
+            assert getattr(loaded, name).dtype == np.int64
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
         assert np.array_equal(loaded.split, ds.split)
 
     @pytest.mark.parametrize(
