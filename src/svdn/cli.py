@@ -9,13 +9,15 @@ with and without the iteration scheme).
 
 Every subcommand runs through ``_run``: create ``--out``, resolve the
 config and load the dataset, write ``manifest.json`` (tool version,
-seed, effective config, artifact paths) before any work, and exit 0
-only if every artifact exists afterwards.  Every file is written through
-``errors.open_artifact``, so a failed command leaves no partial file
-under an artifact's name.  ``gen`` takes one flag per parameter of
-``generate_synthetic``, with its default; every other command takes one
-flag per config key, generated from ``config.CONFIG_KEYS``
-(``--step0-epochs`` sets ``step0_epochs``); flags override the file.
+seed, the settings it reads, artifact paths) before any work, and exit
+0 only if every artifact exists afterwards.  Every file is written
+through ``errors.open_artifact``, so a failed command leaves no partial
+file under an artifact's name.  A command takes one flag per setting it
+reads: ``gen`` per parameter of ``generate_synthetic``, with its
+default; the others per key of their set in ``config`` (``CONFIG_KEYS``,
+``SWEEP_KEYS`` or ``SCORE_KEYS``; ``--step0-epochs`` sets
+``step0_epochs``).  Flags override the ``--config`` file, which may
+hold any key and is checked whole.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .config import CONFIG_KEYS, PARSERS, RunConfig, load_config, override_config, parse_dims
+from .config import CONFIG_KEYS, PARSERS, SCORE_KEYS, SWEEP_KEYS, RunConfig, load_config, override_config, parse_dims
 from .decorrelate import DecorrMethod
 from .errors import SvdnError, ValidationError, open_artifact, write_csv
 from .evaluation import (
@@ -63,24 +64,30 @@ _GEN_DEFAULTS = {name: p.default for name, p in inspect.signature(generate_synth
 _GEN_FLAGS = {"identities": "--ids", "samples_per_id_camera": "--samples"}  # the others: "--" + name
 
 
+def _settings(args) -> RunConfig:
+    """The run config: the command's flags over the ``--config`` file, with its dataset key checked."""
+    flags = {key: PARSERS[key](key, getattr(args, key)) for key in args.keys if getattr(args, key) is not None}
+    cfg = override_config(load_config(args.config) if args.config else RunConfig(), **flags)
+    if args.dataset_use == "required" and not cfg.dataset:
+        raise ValidationError("config key 'dataset' is required (set it in the config file or pass --dataset)")
+    if cfg.dataset and not Path(cfg.dataset).is_file():
+        raise ValidationError(f"config key 'dataset': no such file {cfg.dataset!r}")
+    return cfg
+
+
 def _run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.dataset_use is None:
-        data, cfg = None, {name: getattr(args, name) for name in _GEN_DEFAULTS}  # generate_synthetic's arguments
+        data, cfg = None, {name: getattr(args, name) for name in args.keys}  # generate_synthetic's arguments
         config = dict(cfg)
         seed = config.pop("seed")
     else:
-        flags = {key: PARSERS[key](key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None}
-        cfg = override_config(load_config(args.config) if args.config else RunConfig(), **flags)
-        if args.dataset_use == "required" and not cfg.dataset:
-            raise ValidationError("config key 'dataset' is required (set it in the config file or pass --dataset)")
-        if cfg.dataset and not Path(cfg.dataset).is_file():
-            raise ValidationError(f"config key 'dataset': no such file {cfg.dataset!r}")
+        cfg = _settings(args)
         data = load_dataset(cfg.dataset) if cfg.dataset else None
         if data is not None:
             require_queries(data, f"dataset {cfg.dataset}")  # every command given data scores retrieval
-        seed, config = cfg.seed, asdict(cfg)
+        seed, config = cfg.seed, {key: getattr(cfg, key) for key in args.keys}
     manifest = {
         "tool": "svdn",
         "version": __version__,
@@ -191,53 +198,60 @@ def cmd_sweep_dim(args, out, cfg, data) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="path to a key=value config file")
-    common.add_argument("--out", default="runs", help="output directory (default: runs)")
-
     parser = argparse.ArgumentParser(prog="svdn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"svdn {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    # dataset_use: "required", "optional", or None for a command without a run config.
-    def command(name, work, artifacts, dataset_use, summary):
-        sub = subs.add_parser(name, parents=[common], help=summary)
-        if dataset_use is not None:
-            for key in CONFIG_KEYS:
+    # keys: the settings the command reads, one flag each.  dataset_use: "required", "optional",
+    # or None for gen, whose settings are generate_synthetic's parameters, not config keys.
+    def command(name, work, artifacts, keys, dataset_use, summary):
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("--out", default="runs", help="output directory (default: runs)")
+        if dataset_use is None:
+            for key in keys:
+                default = _GEN_DEFAULTS[key]
+                flag = _GEN_FLAGS.get(key, "--" + key.replace("_", "-"))
+                sub.add_argument(flag, dest=key, type=type(default), default=default, help=f"default: {default}")
+        else:
+            sub.add_argument("--config", default=None, help="path to a key=value config file")
+            for key in keys:
                 sub.add_argument("--" + key.replace("_", "-"), dest=key, help=f"overrides config key {key}")
-        sub.set_defaults(work=work, artifacts=artifacts, dataset_use=dataset_use)
+        sub.set_defaults(work=work, artifacts=artifacts, keys=keys, dataset_use=dataset_use)
         return sub
 
-    gen = command("gen", cmd_gen, {"dataset": "dataset.csv"}, None, "write a synthetic retrieval dataset")
-    for name, default in _GEN_DEFAULTS.items():
-        flag = _GEN_FLAGS.get(name, "--" + name.replace("_", "-"))
-        gen.add_argument(flag, dest=name, type=type(default), default=default, help=f"default: {default}")
+    command(
+        "gen", cmd_gen, {"dataset": "dataset.csv"}, tuple(_GEN_DEFAULTS), None, "write a synthetic retrieval dataset"
+    )
 
     command(
         "train",
         cmd_train,
         {"trace": "trace.csv", "step0_checkpoint": checkpoint_name(0, PHASE_STEP0), "final_checkpoint": FINAL_CHECKPOINT},
+        CONFIG_KEYS,
         "required",
         "step 0 plus restraint/relaxation iterations",
     )
 
-    ev = command("eval", cmd_eval, {"report": "report.csv"}, "required", "score a checkpoint against a dataset")
+    ev = command(
+        "eval", cmd_eval, {"report": "report.csv"}, SCORE_KEYS, "required", "score a checkpoint against a dataset"
+    )
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--l2-normalize", dest="l2_normalize", action="store_true", help="cosine-style scoring")
 
     diag = command(
-        "diagnose", cmd_diagnose, {"diagnose": "diagnose.csv"}, "optional",
+        "diagnose", cmd_diagnose, {"diagnose": "diagnose.csv"}, SCORE_KEYS, "optional",
         "print the correlation score per checkpoint",
     )
     diag.add_argument("checkpoints", nargs="+", help="checkpoint files or directories")
 
     comp = command(
-        "compare", cmd_compare, {"comparison": "comparison.csv"}, "required", "train once per replacement method"
+        "compare", cmd_compare, {"comparison": "comparison.csv"}, CONFIG_KEYS, "required",
+        "train once per replacement method",
     )
     comp.add_argument("--methods", default=None, help="comma-separated subset of Orig,US,U,UVt,QD")
 
     sweep = command(
-        "sweep-dim", cmd_sweep_dim, {"sweep": "sweep_dim.csv"}, "required", "train across embedding widths"
+        "sweep-dim", cmd_sweep_dim, {"sweep": "sweep_dim.csv"}, SWEEP_KEYS, "required", "train across embedding widths"
     )
     sweep.add_argument("--dims", default="4,8,16,32,64,128", help="comma-separated eigenlayer widths")
     return parser

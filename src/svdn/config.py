@@ -47,6 +47,9 @@ _PARSE_BY_TYPE = {
 # Config key -> parser of its text value, chosen by the type of the field's default.
 PARSERS = {f.name: _PARSE_BY_TYPE[type(f.default)] for f in fields(RunConfig)}
 CONFIG_KEYS = tuple(PARSERS)
+# The keys each command reads: its flags and its manifest's config.  ``train`` and ``compare`` read them all.
+SWEEP_KEYS = tuple(key for key in CONFIG_KEYS if key != "eigen_dim")  # every swept width replaces eigen_dim
+SCORE_KEYS = ("dataset", "feature", "seed")  # eval and diagnose score a checkpoint they are given
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svdn.cli import main
+from svdn.cli import _build_parser, _settings, main
 from svdn.config import CONFIG_KEYS, RunConfig
+from svdn.errors import ValidationError
 from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
 from svdn.network import load_checkpoint, save_checkpoint
 from svdn.trainer import checkpoint_name
@@ -527,6 +529,70 @@ class TestSweepDim:
         assert calls == [] and not (tmp_path / "sweep_dim.csv").exists()
 
 
+GEN_PARAMS = tuple(inspect.signature(generate_synthetic).parameters)
+# The settings each command reads: the flags it offers and what its manifest records.
+COMMAND_SETTINGS = {
+    "gen": set(GEN_PARAMS),
+    "train": set(CONFIG_KEYS),
+    "eval": {"dataset", "feature", "seed"},
+    "diagnose": {"dataset", "feature", "seed"},
+    "compare": set(CONFIG_KEYS),
+    "sweep-dim": set(CONFIG_KEYS) - {"eigen_dim"},
+}
+SHORT = ["--max-rri", "1", "--step0-epochs", "1", "--restraint-epochs", "1", "--relaxation-epochs", "1"]
+
+
+def _settings_flags(command):
+    """The settings among the flags ``command``'s parser offers: config keys
+    or, for ``gen``, parameters of ``generate_synthetic``."""
+    sub = _build_parser()._subparsers._group_actions[0].choices[command]
+    return {action.dest for action in sub._actions if action.dest in {*CONFIG_KEYS, *GEN_PARAMS}}
+
+
+@pytest.mark.parametrize("command", COMMAND_SETTINGS)
+def test_manifest_records_exactly_the_settings_flags(tmp_path, config_path, trained, command):
+    out = str(tmp_path / "out")
+    argv = {
+        "gen": ["gen", "--out", out, "--ids", "6", "--cameras", "2", "--samples", "2"],
+        "train": ["train", "--config", str(config_path), "--out", out, *SHORT],
+        "eval": ["eval", "--config", str(config_path), "--out", out, "--ckpt", str(trained / "ckpt_final.svdn")],
+        "diagnose": ["diagnose", "--out", out, "--seed", "7", str(trained / "ckpt_rri0_step0.svdn")],
+        "compare": ["compare", "--config", str(config_path), "--out", out, "--methods", "US", *SHORT],
+        "sweep-dim": ["sweep-dim", "--config", str(config_path), "--out", out, "--dims", "4", *SHORT],
+    }[command]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert _settings_flags(command) == COMMAND_SETTINGS[command]
+    assert {*manifest["config"], "seed"} == COMMAND_SETTINGS[command]
+    assert isinstance(manifest["seed"], int)
+
+
+# Every flag a command does not read, on an otherwise valid command line.
+UNREAD_FLAGS = [("gen", "config")] + [
+    (command, key) for command in ("eval", "diagnose", "sweep-dim") for key in CONFIG_KEYS
+    if key not in COMMAND_SETTINGS[command]
+]
+
+
+@pytest.mark.parametrize("command, key", UNREAD_FLAGS)
+def test_unread_setting_flag_exits_2_before_any_file(tmp_path, config_path, trained, capsys, command, key):
+    out = tmp_path / "out"
+    ckpt = str(trained / "ckpt_final.svdn")
+    flag = "--" + key.replace("_", "-")
+    argv = {
+        "gen": ["gen"],
+        "eval": ["eval", "--config", str(config_path), "--ckpt", ckpt],
+        "diagnose": ["diagnose", ckpt],
+        "sweep-dim": ["sweep-dim", "--config", str(config_path), "--dims", "4"],
+    }[command]
+    value = str(config_path) if key == "config" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sample_text(key, dataset_path):
     """A valid text value for a config key that differs from its default."""
     special = {"feature": "output", "dataset": str(dataset_path)}
@@ -538,33 +604,33 @@ def _sample_text(key, dataset_path):
     return str(default * 2)
 
 
-def _diagnose_config(tmp_path, name, ckpt, *extra):
-    out = tmp_path / name
-    assert main(["diagnose", "--out", str(out), str(ckpt), *extra]) == 0
-    return json.loads((out / "manifest.json").read_text())["config"]
+def _train_settings(dataset_path, key, *source):
+    """The run config ``train`` resolves from ``source``, a ``--config`` file
+    or a flag that sets ``key``, before any dataset is loaded and so without
+    training.  ``--dataset`` is added unless ``key`` is the dataset."""
+    data = () if key == "dataset" else ("--dataset", str(dataset_path))
+    return _settings(_build_parser().parse_args(["train", *source, *data]))
 
 
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 class TestConfigKeyParity:
-    def test_file_line_and_flag_agree(self, tmp_path, trained, dataset_path, key):
+    def test_file_line_and_flag_agree(self, tmp_path, dataset_path, key):
         text = _sample_text(key, dataset_path)
         cfg = tmp_path / "one.cfg"
         cfg.write_text(f"{key} = {text}\n")
-        ckpt = trained / "ckpt_rri0_step0.svdn"
-        from_file = _diagnose_config(tmp_path, "file", ckpt, "--config", str(cfg))
-        from_flag = _diagnose_config(tmp_path, "flag", ckpt, "--" + key.replace("_", "-"), text)
+        from_file = _train_settings(dataset_path, key, "--config", str(cfg))
+        from_flag = _train_settings(dataset_path, key, "--" + key.replace("_", "-"), text)
         assert from_file == from_flag
-        defaults = json.loads(json.dumps(asdict(RunConfig())))
-        assert {k for k in defaults if defaults[k] != from_flag[k]} == {key}
+        defaults = asdict(RunConfig())
+        assert {k for k in defaults if defaults[k] != asdict(from_flag)[k]} == {key, "dataset"}
 
-    def test_malformed_value_exits_2_naming_key(self, tmp_path, trained, capsys, monkeypatch, key):
+    def test_malformed_value_exits_2_naming_key(self, tmp_path, dataset_path, monkeypatch, key):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = x\n")
-        ckpt = str(trained / "ckpt_rri0_step0.svdn")
         for source in (["--config", str(cfg)], ["--" + key.replace("_", "-"), "x"]):
-            assert main(["diagnose", "--out", str(tmp_path / "out"), ckpt, *source]) == 2
-            assert f"'{key}'" in capsys.readouterr().err
+            with pytest.raises(ValidationError, match=f"'{key}'"):
+                _train_settings(dataset_path, key, *source)
 
 
 # any text but NUL, newline and surrogates; numbers reach the range checks
@@ -577,15 +643,18 @@ CONFIG_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(key=st.sampled_from(CONFIG_KEYS), value=CONFIG_VALUES)
-def test_any_config_value_exits_0_or_2(tmp_path, trained, monkeypatch, key, value):
-    """Diagnose parses and validates every key but never trains."""
+def test_any_config_value_exits_0_or_2(tmp_path, dataset_path, monkeypatch, key, value):
+    """Every key and value resolves to a run config or a ValidationError
+    (exit 2), from the file and from the flag, without any training."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "any.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-    ckpt = str(trained / "ckpt_rri0_step0.svdn")
     for source in (["--config", str(cfg)], [f"--{key.replace('_', '-')}={value}"]):
         try:
-            rc = main(["diagnose", "--out", str(tmp_path / "out"), ckpt, *source])
+            _train_settings(dataset_path, key, *source)
+            rc = 0
+        except ValidationError:
+            rc = 2
         except SystemExit as exc:
             rc = exc.code
         assert rc in (0, 2), (source, rc)
