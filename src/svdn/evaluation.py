@@ -36,14 +36,11 @@ SPLIT_QUERY = "query"
 SPLIT_GALLERY = "gallery"
 SPLITS = (SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 
-# Queries per distance block in evaluate_features and rank_gallery, and rows
-# per block in EigenModel.extract_features: scoring memory grows with
-# QUERY_BLOCK x gallery rows and feature extraction with one block's
-# activations instead of the whole input's.  Both heights are constants, not
-# options, because BLAS may round a row's product differently in a block of
-# another height, so a fixed height keeps every run's bits.
+# Queries per distance block in evaluate_features and rank_gallery: scoring
+# memory grows with QUERY_BLOCK x gallery rows.  A constant, not an option,
+# because BLAS may round a row's product differently in a block of another
+# height, so a fixed height keeps every run's bits.
 QUERY_BLOCK = 64
-FEATURE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +243,9 @@ def rank_gallery(query_feats, gallery_feats) -> np.ndarray:
 
     For callers that need the full ranked lists; scoring does not, and
     ``evaluate_features`` gives the same report without ranking.  Both
-    take the distances in the same ``QUERY_BLOCK``-row blocks, and
-    features come in fixed ``FEATURE_BLOCK``-row blocks, because BLAS may
-    round a product with another row count differently and so order a
-    near-tie the other way."""
+    take the distances in the same ``QUERY_BLOCK``-row blocks, because
+    BLAS may round a product with another row count differently and so
+    order a near-tie the other way."""
     q, g = _check_features(query_feats, gallery_feats)
     return np.concatenate([np.argsort(d, axis=1, kind="stable") for d in _sq_dist_blocks(q, g, QUERY_BLOCK)])
 

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, open_artifact
-from .evaluation import FEATURE_BLOCK
 from .linalg import as_matrix
 
 CHECKPOINT_MAGIC = b"SVDN"
@@ -38,6 +37,12 @@ _ROLE_CLASSIFIER = 2
 
 FEATURE_KINDS = ("input", "output")
 DEFAULT_FEATURE = "input"
+
+# Rows per block in extract_features: its memory grows with the output plus
+# one block's activations instead of two of the whole input's.  A constant,
+# not an option, because BLAS may round a row's product differently in a
+# block of another height, so a fixed height keeps every run's bits.
+FEATURE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,21 +160,16 @@ class EigenModel:
         the run default) or its output (``which="output"``).
 
         The backbone walks ``FEATURE_BLOCK`` rows at a time into one
-        preallocated output, so memory grows with the output plus one
-        block's activations.  An input of up to ``FEATURE_BLOCK + 1`` rows
-        is one block and gets the bits of :meth:`forward`; a larger one
-        gets, for each block, the bits of :meth:`forward` on that block
-        alone."""
+        preallocated output of the call's own, so memory grows with the
+        output plus one block's activations.  Each block's rows carry the
+        bits of :meth:`forward` on that block alone; the last block may hold
+        up to ``FEATURE_BLOCK + 1`` rows, as a lone last row would take
+        BLAS's matrix-vector path, which rounds differently."""
         if which not in FEATURE_KINDS:
             raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
         batch = self._check_batch(batch)
         n = batch.shape[0]
-        if n <= FEATURE_BLOCK + 1:
-            h = self._eigen_input(batch)
-            return h if which == "input" else h @ self.eigenlayer
-        starts = list(range(0, n, FEATURE_BLOCK))
-        if n - starts[-1] == 1:  # a lone row would take BLAS's matrix-vector path, which rounds differently
-            starts.pop()
+        starts = range(0, max(n - 1, 1), FEATURE_BLOCK)  # no block starts at the last row unless it is the only one
         out = np.empty((n, self.eigenlayer.shape[1 if which == "output" else 0]))
         for s, e in zip(starts, [*starts[1:], n]):  # no name keeps a block's activation alive into the next walk
             if which == "input":

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdn.errors import ValidationError
-from svdn.evaluation import FEATURE_BLOCK
 from svdn.network import (
     CHECKPOINT_MAGIC,
     DEFAULT_FEATURE,
+    FEATURE_BLOCK,
     FEATURE_KINDS,
     AffineLayer,
     EigenModel,
@@ -135,6 +135,18 @@ class TestForward:
             tracemalloc.stop()
         assert feats.shape == (rows, width)
         assert peak <= feats.nbytes + 2 * FEATURE_BLOCK * width * 8 + 2**20
+
+    @pytest.mark.parametrize("which", FEATURE_KINDS)
+    @pytest.mark.parametrize("n", [1, 100, 3000])
+    def test_features_are_an_array_of_their_own(self, n, which):
+        # with no hidden layer the eigenlayer input is the batch itself; the
+        # features must still not share memory with the caller's array
+        model = build_model(8, (), 8, 3, seed=0)
+        batch = np.random.default_rng(n).normal(size=(n, 8))
+        feats = model.extract_features(batch, which)
+        assert not np.shares_memory(feats, batch)
+        feats[...] = 0.0
+        assert np.all(batch != 0.0)
 
     def test_eigenlayer_linearity(self):
         model = tiny_model(seed=7)
