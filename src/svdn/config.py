@@ -32,9 +32,10 @@ def _scalar(kind, expected: str):
 
 def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...]:
     """Comma-separated layer widths, such as ``128,64``, or none for empty
-    text; errors name the ``kind`` ``key``."""
+    text; an empty item, as in ``4,,8``, is malformed.  Errors name the
+    ``kind`` ``key``."""
     try:
-        return tuple(int(part.strip()) for part in value.split(",") if part.strip())
+        return tuple(int(part) for part in value.split(",")) if value.strip() else ()
     except ValueError:
         raise ValidationError(f"{kind} {key!r}: expected comma-separated integers, got {value!r}") from None
 

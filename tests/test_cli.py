@@ -203,6 +203,15 @@ class TestTrain:
         assert err.startswith("error:") and flag[2:].replace("-", "_") in err and "finite" in err
         assert list(out.glob("ckpt_*.svdn")) == []
 
+    @pytest.mark.parametrize("dims", [",", "16,,12"])
+    def test_empty_hidden_dims_item_exits_2_naming_key(self, tmp_path, config_path, capsys, dims):
+        # an empty item is malformed, not dropped: "," is not "no hidden layer"
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config_path), "--out", str(out), "--hidden-dims", dims])
+        assert rc == 2
+        assert f"config key 'hidden_dims': expected comma-separated integers, got {dims!r}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # settings are read before the manifest
+
     # 10**14 columns of float64 exceed any address space, so the
     # allocation fails at once; never test a width the machine could hold
     @pytest.mark.parametrize("flag", ["--hidden-dims", "--eigen-dim"])
@@ -516,9 +525,17 @@ class TestSweepDim:
         assert "--dims" in err and "config key" not in err
 
     def test_empty_dims_rejected(self, tmp_path, config_path, capsys):
-        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", " , "])
+        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", " "])
         assert rc == 2
         assert "'--dims': expected at least one dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["4,,8", " , ", "4,"])
+    def test_empty_dims_item_rejected_before_training(self, tmp_path, config_path, capsys, monkeypatch, dims):
+        monkeypatch.setattr("svdn.cli.run_dim_sweep", lambda *a: pytest.fail("trained on a malformed --dims"))
+        rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", dims])
+        assert rc == 2
+        assert f"flag '--dims': expected comma-separated integers, got {dims!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_dim.csv").exists()
 
     def test_repeated_dims_rejected_before_training(self, tmp_path, config_path, capsys, monkeypatch):
         calls = []

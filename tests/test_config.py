@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdn.config import RunConfig, load_config, override_config, parse_config
+from svdn.config import RunConfig, load_config, override_config, parse_config, parse_dims
 from svdn.errors import ValidationError
 from svdn.network import FEATURE_KINDS
 from svdn.trainer import RriSchedule
@@ -108,6 +108,14 @@ def test_override_validates():
 
 def test_empty_hidden_dims_is_no_hidden_layer():
     assert parse_config("hidden_dims =").hidden_dims == ()
+
+
+@pytest.mark.parametrize("value", ["64,,48", ",", ", ,", "64,", ",64"])
+def test_empty_dims_item_rejected_naming_key(value):
+    with pytest.raises(ValidationError, match="config key 'hidden_dims'"):
+        parse_config(f"hidden_dims = {value}")
+    with pytest.raises(ValidationError, match="flag '--dims'"):
+        parse_dims("--dims", value, "flag")
 
 
 SCHEDULE_KEYS = [f.name for f in fields(RriSchedule)]
