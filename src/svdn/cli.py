@@ -108,17 +108,17 @@ def _run(args) -> int:
 
 
 def cmd_gen(args, out, cfg, data) -> None:
-    dataset = generate_synthetic(**cfg)
-    save_dataset(dataset, out / "dataset.csv")
-    print(f"wrote {out / 'dataset.csv'}: {dataset.features.shape[0]} rows, dim {dataset.dim}")
+    dataset, path = generate_synthetic(**cfg), out / args.artifacts["dataset"]
+    save_dataset(dataset, path)
+    print(f"wrote {path}: {dataset.features.shape[0]} rows, dim {dataset.dim}")
 
 
 def cmd_train(args, out, cfg, data) -> None:
     model, step0_record = train_step0(initial_model(data, cfg), data, cfg, out_dir=out)
     model, trace = run_rri(model, data, cfg, out_dir=out)
     trace.records.insert(0, step0_record)
-    write_trace(trace, out / "trace.csv")
-    save_checkpoint(model, out / FINAL_CHECKPOINT)
+    write_trace(trace, out / args.artifacts["trace"])
+    save_checkpoint(model, out / args.artifacts["final_checkpoint"])
 
     last = trace.records[-1]
     print(f"completed {last.rri_index} iteration(s), converged={trace.converged}")
@@ -142,7 +142,7 @@ def cmd_eval(args, out, cfg, data) -> None:
     if args.l2_normalize:
         qf, gf = l2_normalize(qf), l2_normalize(gf)
     report = evaluate_features(data, qf, gf)
-    write_report(report, out / "report.csv")
+    write_report(report, out / args.artifacts["report"])
     print(format_report(report), end="")
 
 
@@ -168,13 +168,13 @@ def cmd_diagnose(args, out, cfg, data) -> None:
         rows.append((str(path), *parse_checkpoint_name(path.name)[:2], score, rank1, mean_ap))
         extra = f" rank1={rank1!r} map={mean_ap!r}" if data is not None else ""
         print(f"{path.name}: s_of_w={score!r}{extra}")
-    write_csv(out / "diagnose.csv", ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
+    write_csv(out / args.artifacts["diagnose"], ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
 
 
 def cmd_compare(args, out, cfg, data) -> None:
     methods = None if args.methods is None else [DecorrMethod.from_name(n.strip()) for n in args.methods.split(",")]
     rows = run_decorr_comparison(data, cfg, methods=methods)
-    write_csv(out / "comparison.csv", ["method", "rank1", "map"], [[m.value, r.rank1, r.map] for m, r in rows])
+    write_csv(out / args.artifacts["comparison"], ["method", "rank1", "map"], [[m.value, r.rank1, r.map] for m, r in rows])
     print("method   rank1    mAP")
     for method, r in rows:
         print(f"{method.value:<8} {r.rank1:.4f}  {r.map:.4f}")
@@ -191,7 +191,7 @@ def cmd_sweep_dim(args, out, cfg, data) -> None:
             f"without mAP={wo.map:.4f} rank1={wo.rank1:.4f}"
         )
     write_csv(
-        out / "sweep_dim.csv",
+        out / args.artifacts["sweep"],
         ["dim", "map_with_rri", "map_without_rri", "rank1_with_rri", "rank1_without_rri"],
         [[dim, w.map, wo.map, w.rank1, wo.rank1] for dim, w, wo in results],
     )
