@@ -108,7 +108,8 @@ def _run(args) -> int:
 
 
 def cmd_gen(args, out, cfg, data) -> None:
-    dataset, path = generate_synthetic(**cfg), out / args.artifacts["dataset"]
+    dataset = generate_synthetic(**cfg)
+    path = out / args.artifacts["dataset"]
     save_dataset(dataset, path)
     print(f"wrote {path}: {dataset.features.shape[0]} rows, dim {dataset.dim}")
 

@@ -160,8 +160,8 @@ class EigenModel:
         the run default) or its output (``which="output"``).
 
         The backbone walks ``FEATURE_BLOCK`` rows at a time into one
-        preallocated output of the call's own, so memory grows with the
-        output plus one block's activations.  Each block's rows carry the
+        preallocated output, a new array on every call, so memory grows
+        with the output plus one block's activations.  Each block's rows carry the
         bits of :meth:`forward` on that block alone; the last block may hold
         up to ``FEATURE_BLOCK + 1`` rows, as a lone last row would take
         BLAS's matrix-vector path, which rounds differently."""

@@ -145,8 +145,6 @@ class TestForward:
         batch = np.random.default_rng(n).normal(size=(n, 8))
         feats = model.extract_features(batch, which)
         assert not np.shares_memory(feats, batch)
-        feats[...] = 0.0
-        assert np.all(batch != 0.0)
 
     def test_eigenlayer_linearity(self):
         model = tiny_model(seed=7)
