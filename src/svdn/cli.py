@@ -7,8 +7,8 @@ correlation score of checkpoints), ``compare`` (train once per
 replacement method), and ``sweep-dim`` (train across embedding widths
 with and without the iteration scheme).
 
-Every subcommand runs through ``_run``: create ``--out``, resolve the
-config and load the dataset, write ``manifest.json`` (tool version,
+Every subcommand runs through ``_run``: resolve the config and load the
+dataset, create ``--out``, write ``manifest.json`` (tool version,
 seed, the settings it reads, artifact paths) before any work, and exit
 0 only if every artifact exists afterwards.  Every file is written
 through ``errors.open_artifact``, so a failed command leaves no partial
@@ -76,8 +76,6 @@ def _settings(args) -> RunConfig:
 
 
 def _run(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.dataset_use is None:
         data, cfg = None, {name: getattr(args, name) for name in args.keys}  # generate_synthetic's arguments
         config = dict(cfg)
@@ -88,6 +86,8 @@ def _run(args) -> int:
         if data is not None:
             require_queries(data, f"dataset {cfg.dataset}")  # every command given data scores retrieval
         seed, config = cfg.seed, {key: getattr(cfg, key) for key in args.keys}
+    out = Path(args.out)  # made once the settings and the dataset pass, as an argparse rejection makes none
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool": "svdn",
         "version": __version__,
@@ -172,9 +172,19 @@ def cmd_diagnose(args, out, cfg, data) -> None:
     write_csv(out / args.artifacts["diagnose"], ["checkpoint", "rri_index", "phase", "s_of_w", "rank1", "map"], rows)
 
 
+def _methods_flag(text: str) -> list[DecorrMethod]:
+    return [DecorrMethod.from_name(name.strip()) for name in text.split(",")]
+
+
+def _dims_flag(text: str) -> tuple[int, ...]:
+    dims = parse_dims("--dims", text, "flag")
+    if not dims:
+        raise ValidationError("flag '--dims': expected at least one dimension")
+    return dims
+
+
 def cmd_compare(args, out, cfg, data) -> None:
-    methods = None if args.methods is None else [DecorrMethod.from_name(n.strip()) for n in args.methods.split(",")]
-    rows = run_decorr_comparison(data, cfg, methods=methods)
+    rows = run_decorr_comparison(data, cfg, methods=args.methods)
     write_csv(out / args.artifacts["comparison"], ["method", "rank1", "map"], [[m.value, r.rank1, r.map] for m, r in rows])
     print("method   rank1    mAP")
     for method, r in rows:
@@ -182,10 +192,7 @@ def cmd_compare(args, out, cfg, data) -> None:
 
 
 def cmd_sweep_dim(args, out, cfg, data) -> None:
-    dims = parse_dims("--dims", args.dims, "flag")
-    if not dims:
-        raise ValidationError("flag '--dims': expected at least one dimension")
-    results = run_dim_sweep(data, cfg, dims)
+    results = run_dim_sweep(data, cfg, args.dims)
     for dim, w, wo in results:
         print(
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "
@@ -249,20 +256,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", cmd_compare, {"comparison": "comparison.csv"}, CONFIG_KEYS, "required",
         "train once per replacement method",
     )
-    comp.add_argument("--methods", default=None, help="comma-separated subset of Orig,US,U,UVt,QD")
+    comp.add_argument("--methods", type=_methods_flag, default=None, help="comma-separated subset of Orig,US,U,UVt,QD")
 
     sweep = command(
         "sweep-dim", cmd_sweep_dim, {"sweep": "sweep_dim.csv"}, SWEEP_KEYS, "required", "train across embedding widths"
     )
-    sweep.add_argument("--dims", default="4,8,16,32,64,128", help="comma-separated eigenlayer widths")
+    sweep.add_argument("--dims", type=_dims_flag, default="4,8,16,32,64,128", help="comma-separated eigenlayer widths")
     return parser
 
 
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
-    if unread:  # exits 2 with the usage of the command, which lists the flags it takes
-        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
+        # a flag's type raises ValidationError, which argparse passes on, so --out is not made
+        args, unread = _build_parser().parse_known_args(argv)
+        if unread:  # exits 2 with the usage of the command, which lists the flags it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
         return _run(args)
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ given twice are rejected by name.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError, read_text
@@ -19,6 +20,15 @@ from .trainer import RriSchedule
 @dataclass(frozen=True)
 class RunConfig(RriSchedule):
     dataset: str | None = None
+
+
+_INT_TEXT = re.compile(r"\s*-?\d+\s*", re.ASCII)  # not the underscores, "+" or non-ASCII digits int() takes
+
+
+def _int(text: str) -> int:
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 def _scalar(kind, expected: str):
@@ -35,14 +45,14 @@ def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...
     text; an empty item, as in ``4,,8``, is malformed.  Errors name the
     ``kind`` ``key``."""
     try:
-        return tuple(int(part) for part in value.split(",")) if value.strip() else ()
+        return tuple(_int(part) for part in value.split(",")) if value.strip() else ()
     except ValueError:
         raise ValidationError(f"{kind} {key!r}: expected comma-separated integers, got {value!r}") from None
 
 
 _TEXT = _scalar(str, "text")
 _PARSE_BY_TYPE = {
-    int: _scalar(int, "an integer"), float: _scalar(float, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT
+    int: _scalar(_int, "an integer"), float: _scalar(float, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT
 }
 
 # Config key -> parser of its text value, chosen by the type of the field's default.

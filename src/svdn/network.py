@@ -38,10 +38,11 @@ _ROLE_CLASSIFIER = 2
 FEATURE_KINDS = ("input", "output")
 DEFAULT_FEATURE = "input"
 
-# Rows per block in extract_features: its memory grows with the output plus
-# one block's activations instead of two of the whole input's.  A constant,
-# not an option, because BLAS may round a row's product differently in a
-# block of another height, so a fixed height keeps every run's bits.
+# Rows per block (``_row_blocks``) in extract_features and loss: their memory
+# grows with their output plus one block's activations instead of two of the
+# whole input's.  A constant, not an option, because BLAS may round a row's
+# product differently in a block of another height, so a fixed height keeps
+# every run's bits.
 FEATURE_BLOCK = 1024
 
 
@@ -159,19 +160,15 @@ class EigenModel:
         """Retrieval features: the eigenlayer's input (``which="input"``,
         the run default) or its output (``which="output"``).
 
-        The backbone walks ``FEATURE_BLOCK`` rows at a time into one
+        The backbone walks the input's ``_row_blocks`` into one
         preallocated output, a new array on every call, so memory grows
-        with the output plus one block's activations.  Each block's rows carry the
-        bits of :meth:`forward` on that block alone; the last block may hold
-        up to ``FEATURE_BLOCK + 1`` rows, as a lone last row would take
-        BLAS's matrix-vector path, which rounds differently."""
+        with the output plus one block's activations.  Each block's rows
+        carry the bits of :meth:`forward` on that block alone."""
         if which not in FEATURE_KINDS:
             raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
         batch = self._check_batch(batch)
-        n = batch.shape[0]
-        starts = range(0, max(n - 1, 1), FEATURE_BLOCK)  # no block starts at the last row unless it is the only one
-        out = np.empty((n, self.eigenlayer.shape[1 if which == "output" else 0]))
-        for s, e in zip(starts, [*starts[1:], n]):  # no name keeps a block's activation alive into the next walk
+        out = np.empty((batch.shape[0], self.eigenlayer.shape[1 if which == "output" else 0]))
+        for s, e in _row_blocks(batch.shape[0]):  # no name keeps a block's activation alive into the next walk
             if which == "input":
                 out[s:e] = self._eigen_input(batch[s:e])
             else:
@@ -190,11 +187,15 @@ class EigenModel:
         return labels.astype(np.int64)
 
     def loss(self, batch, labels) -> float:
-        """Mean softmax cross-entropy of the batch."""
+        """Mean softmax cross-entropy of the batch, walked in the row blocks of
+        :meth:`extract_features`: one vector holds every block's label
+        log-probabilities, and one mean over it is the loss."""
         batch = self._check_batch(batch)
         labels = self._check_labels(labels, batch.shape[0])
-        _, _, logits = self._outputs(self._eigen_input(batch))
-        return _cross_entropy(logits, labels)[0]
+        ll = np.empty(batch.shape[0])
+        for s, e in _row_blocks(batch.shape[0]):
+            ll[s:e] = _cross_entropy(self._outputs(self._eigen_input(batch[s:e]))[2], labels[s:e])[0]
+        return float(-ll.mean())
 
     def loss_and_grads(self, batch, labels, frozen: bool = False):
         """Mean softmax cross-entropy and exact gradients for every
@@ -217,7 +218,7 @@ def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen
     stays zero."""
     acts = [batch, *model._activations(batch)]  # a_0 = batch, a_i = relu(a_{i-1} @ W_i + b_i)
     h, f, logits = model._outputs(acts[-1])
-    loss, dlogits = _cross_entropy(logits, labels)
+    ll, dlogits = _cross_entropy(logits, labels)
     m = batch.shape[0]
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
@@ -235,7 +236,7 @@ def _grads_into(model: EigenModel, batch: np.ndarray, labels: np.ndarray, frozen
         np.add.reduce(da, axis=0, out=g_backbone[2 * i + 1])
         if i > 0:
             da = da @ model.backbone[i].weight.T
-    return loss
+    return float(-ll.mean())
 
 
 def _split(flat: np.ndarray, like) -> list[np.ndarray]:
@@ -247,15 +248,22 @@ def _split(flat: np.ndarray, like) -> list[np.ndarray]:
     return views
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Numerically stable mean cross-entropy; also returns the softmax."""
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically stable: each row's label log-probability, and the softmax."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(total)
-    m = logits.shape[0]
-    loss = float(-log_probs[np.arange(m), labels].mean())
-    return loss, exp / total
+    return log_probs[np.arange(logits.shape[0]), labels], exp / total
+
+
+def _row_blocks(n: int):
+    """(start, stop) of each ``FEATURE_BLOCK``-row block of ``n`` rows.  No
+    block starts at the last row unless it is the only one, as a lone last
+    row would take BLAS's matrix-vector path, which rounds differently, so
+    the last block may hold up to ``FEATURE_BLOCK + 1`` rows."""
+    starts = range(0, max(n - 1, 1), FEATURE_BLOCK)
+    return zip(starts, [*starts[1:], n])
 
 
 def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, seed: int) -> EigenModel:

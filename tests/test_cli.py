@@ -210,7 +210,7 @@ class TestTrain:
         rc = main(["train", "--config", str(config_path), "--out", str(out), "--hidden-dims", dims])
         assert rc == 2
         assert f"config key 'hidden_dims': expected comma-separated integers, got {dims!r}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []  # settings are read before the manifest
+        assert not out.exists()  # settings are read before --out is made
 
     # 10**14 columns of float64 exceed any address space, so the
     # allocation fails at once; never test a width the machine could hold
@@ -248,7 +248,7 @@ def test_dataset_without_queries_exits_2_naming_file_and_split(
     assert main(_scoring_argv(command, config_path, out, trained / "ckpt_final.svdn", train_only)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(train_only) in err and "query split" in err
-    assert forward == []
+    assert forward == [] and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -291,6 +291,25 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, com
     }[command]
     assert main(argv) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--hidden-dims", ","], "config key 'hidden_dims': expected comma-separated integers, got ','"),
+        (["train", "--lr-step0", "inf"], "lr_step0"),
+        (["eval", "--ckpt", "ckpt.svdn", "--dataset", "missing.csv"], "config key 'dataset': no such file 'missing.csv'"),
+        (["sweep-dim", "--dims", "4,,8"], "flag '--dims': expected comma-separated integers, got '4,,8'"),
+        (["compare", "--methods", "US,Bogus"], "unknown decorrelation method 'Bogus'"),
+    ],
+    ids=["empty_width_item", "infinite_rate", "missing_dataset", "empty_dims_item", "unknown_method"],
+)
+def test_rejected_setting_exits_2_before_out_is_made(tmp_path, config_path, capsys, argv, message):
+    # as an argparse rejection does: the settings and the dataset are read before --out is made
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])

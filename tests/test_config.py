@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -116,6 +117,29 @@ def test_empty_dims_item_rejected_naming_key(value):
         parse_config(f"hidden_dims = {value}")
     with pytest.raises(ValidationError, match="flag '--dims'"):
         parse_dims("--dims", value, "flag")
+
+
+@pytest.mark.parametrize("value", ["1_6", "+4", "\u0664", "4,1_6", "+4,8", "4,\u0664"])
+def test_dims_items_are_ascii_integer_text(value):
+    with pytest.raises(ValidationError, match=re.escape(f"config key 'k': expected comma-separated integers, got {value!r}")):
+        parse_dims("k", value)
+
+
+def test_dims_items_may_carry_spaces_and_a_minus():
+    assert parse_dims("k", " 4, 8") == (4, 8)
+    assert parse_dims("k", "-4") == (-4,)
+
+
+@pytest.mark.parametrize("value", ["1_6", "+4", "\u0664"])
+def test_integer_keys_are_ascii_integer_text(value):
+    with pytest.raises(ValidationError, match=re.escape(f"config key 'max_rri': expected an integer, got {value!r}")):
+        parse_config(f"max_rri = {value}")
+
+
+def test_negative_integer_gets_the_schedule_range_message():
+    with pytest.raises(ValidationError, match="^schedule field 'seed' must be an integer >= 0, got -1$"):
+        parse_config("seed = -1")
+    assert parse_config("seed = 7 ").seed == 7
 
 
 SCHEDULE_KEYS = [f.name for f in fields(RriSchedule)]

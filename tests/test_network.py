@@ -230,6 +230,55 @@ class TestBlockedFeatures:
             assert np.array_equal(feats, h if which == "input" else f)
 
 
+def _label_log_probs(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_probs[np.arange(logits.shape[0]), labels]
+
+
+class TestBlockedLoss:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1]), st.integers(1, 3 * B)),
+        depth=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mean_of_each_blocks_log_probs(self, n, depth, seed):
+        """The loss is the negated mean of the label log-probabilities that
+        forward gives on each FEATURE_BLOCK-row block alone, the last block
+        taking a lone last row; up to FEATURE_BLOCK + 1 rows, on the whole batch."""
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(1, 9, size=depth + 2)]
+        model = build_model(dims[0], dims[1:-1], dims[-1], 4, seed)
+        batch = rng.normal(size=(n, model.input_dim))
+        labels = rng.integers(0, model.num_classes, size=n)
+        bounds = [*range(0, n, B), n]
+        if n > 1 and bounds[-2] == n - 1:
+            del bounds[-2]
+        if n <= B + 1:
+            assert bounds == [0, n]
+        ll = np.concatenate(
+            [_label_log_probs(model.forward(batch[s:e])[2], labels[s:e]) for s, e in zip(bounds, bounds[1:])]
+        )
+        assert model.loss(batch, labels) == float(-ll.mean())
+
+    def test_peak_memory(self):
+        # the loss walks FEATURE_BLOCK rows at a time into one vector of
+        # log-probabilities, so the peak is that vector plus one block's two
+        # activations, not two activations of the whole input
+        rows, width = 6000, 128
+        model = build_model(16, (width, width), width, 10, seed=0)
+        batch = np.random.default_rng(0).normal(size=(rows, 16))
+        labels = np.arange(rows) % model.num_classes
+        tracemalloc.start()
+        try:
+            model.loss(batch, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rows + 2 * FEATURE_BLOCK * width * 8 + 2**20
+
+
 class TestLossAndGrads:
     def test_uniform_logits_loss_is_ln_c(self):
         model = tiny_model(classes=5)
