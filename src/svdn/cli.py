@@ -8,16 +8,17 @@ replacement method), and ``sweep-dim`` (train across embedding widths
 with and without the iteration scheme).
 
 Every subcommand runs through ``_run``: resolve the config and load the
-dataset, create ``--out``, write ``manifest.json`` (tool version,
-seed, the settings it reads, artifact paths) before any work, and exit
-0 only if every artifact exists afterwards.  Every file is written
+dataset (``gen`` makes its own), create ``--out``, write ``manifest.json``
+(tool version, seed, the settings it reads, artifact paths) before any
+work, and exit 0 only if every artifact exists afterwards; a rejected
+flag or setting exits 2 before ``--out`` is made.  Every file is written
 through ``errors.open_artifact``, so a failed command leaves no partial
 file under an artifact's name.  A command takes one flag per setting it
-reads: ``gen`` per parameter of ``generate_synthetic``, with its
-default; the others per key of their set in ``config`` (``CONFIG_KEYS``,
-``SWEEP_KEYS`` or ``SCORE_KEYS``; ``--step0-epochs`` sets
-``step0_epochs``).  Flags override the ``--config`` file, which may
-hold any key and is checked whole.
+reads, its text parsed by ``config.parsers``: ``gen`` per parameter of
+``generate_synthetic``, with its default; the others per key of their
+set in ``config`` (``CONFIG_KEYS``, ``SWEEP_KEYS`` or ``SCORE_KEYS``;
+``--step0-epochs`` sets ``step0_epochs``).  Flags override the
+``--config`` file, which may hold any key and is checked whole.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import argparse
 import inspect
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .config import CONFIG_KEYS, PARSERS, SCORE_KEYS, SWEEP_KEYS, RunConfig, load_config, override_config, parse_dims
+from .config import parsers
 from .decorrelate import DecorrMethod
 from .errors import SvdnError, ValidationError, open_artifact, write_csv
 from .evaluation import (
@@ -66,7 +69,7 @@ _GEN_FLAGS = {"identities": "--ids", "samples_per_id_camera": "--samples"}  # th
 
 def _settings(args) -> RunConfig:
     """The run config: the command's flags over the ``--config`` file, with its dataset key checked."""
-    flags = {key: PARSERS[key](key, getattr(args, key)) for key in args.keys if getattr(args, key) is not None}
+    flags = {key: getattr(args, key) for key in args.keys}  # None if not given, which override_config skips
     cfg = override_config(load_config(args.config) if args.config else RunConfig(), **flags)
     if args.dataset_use == "required" and not cfg.dataset:
         raise ValidationError("config key 'dataset' is required (set it in the config file or pass --dataset)")
@@ -76,9 +79,9 @@ def _settings(args) -> RunConfig:
 
 
 def _run(args) -> int:
-    if args.dataset_use is None:
-        data, cfg = None, {name: getattr(args, name) for name in args.keys}  # generate_synthetic's arguments
-        config = dict(cfg)
+    if args.dataset_use is None:  # gen: its settings are generate_synthetic's arguments, its dataset made here
+        config = {name: getattr(args, name) for name in args.keys}
+        data, cfg = generate_synthetic(**config), None
         seed = config.pop("seed")
     else:
         cfg = _settings(args)
@@ -88,14 +91,9 @@ def _run(args) -> int:
         seed, config = cfg.seed, {key: getattr(cfg, key) for key in args.keys}
     out = Path(args.out)  # made once the settings and the dataset pass, as an argparse rejection makes none
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tool": "svdn",
-        "version": __version__,
-        "command": args.command,
-        "seed": seed,
-        "config": config,
-        "artifacts": args.artifacts,
-    }
+    manifest = dict(
+        tool="svdn", version=__version__, command=args.command, seed=seed, config=config, artifacts=args.artifacts
+    )
     with open_artifact(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -108,10 +106,9 @@ def _run(args) -> int:
 
 
 def cmd_gen(args, out, cfg, data) -> None:
-    dataset = generate_synthetic(**cfg)
     path = out / args.artifacts["dataset"]
-    save_dataset(dataset, path)
-    print(f"wrote {path}: {dataset.features.shape[0]} rows, dim {dataset.dim}")
+    save_dataset(data, path)
+    print(f"wrote {path}: {data.features.shape[0]} rows, dim {data.dim}")
 
 
 def cmd_train(args, out, cfg, data) -> None:
@@ -210,20 +207,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"svdn {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    # keys: the settings the command reads, one flag each.  dataset_use: "required", "optional",
-    # or None for gen, whose settings are generate_synthetic's parameters, not config keys.
+    # keys: the settings read, one flag each.  dataset_use: "required", "optional", or None for gen.
     def command(name, work, artifacts, keys, dataset_use, summary):
         sub = subs.add_parser(name, help=summary)
         sub.add_argument("--out", default="runs", help="output directory (default: runs)")
-        if dataset_use is None:
-            for key in keys:
-                default = _GEN_DEFAULTS[key]
-                flag = _GEN_FLAGS.get(key, "--" + key.replace("_", "-"))
-                sub.add_argument(flag, dest=key, type=type(default), default=default, help=f"default: {default}")
-        else:
+        gen = dataset_use is None
+        kind, parse, defaults = ("parameter", parsers(_GEN_DEFAULTS), _GEN_DEFAULTS) if gen else ("config key", PARSERS, {})
+        if not gen:
             sub.add_argument("--config", default=None, help="path to a key=value config file")
-            for key in keys:
-                sub.add_argument("--" + key.replace("_", "-"), dest=key, help=f"overrides config key {key}")
+        for key in keys:  # a config key's flag defaults to None, which leaves the --config file's value
+            flag, default = _GEN_FLAGS.get(key, "--" + key.replace("_", "-")), defaults.get(key)
+            doc = f"default: {default}" if gen else f"overrides config key {key}"
+            sub.add_argument(flag, dest=key, type=partial(parse[key], key, kind=kind), default=default, help=doc)
         sub.set_defaults(work=work, artifacts=artifacts, keys=keys, dataset_use=dataset_use, parser=sub)
         return sub
 

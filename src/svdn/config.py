@@ -3,9 +3,9 @@
 The file format is one ``key = value`` pair per line; blank lines and
 lines starting with ``#`` are ignored.  The keys are the ``RunConfig``
 field names: the ``RriSchedule`` fields, then ``dataset``.  ``PARSERS``
-maps each key to the parser of its text value, and the config file, the
-overrides and the CLI flags all go through it.  Unknown keys and keys
-given twice are rejected by name.
+maps each key to the parser of its text value, picked by the type of its
+default (``parsers``, as for ``gen``'s flags); the config file and the
+CLI flags go through it.  Unknown and repeated keys are rejected by name.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _scalar(kind, expected: str):
-    def parse(key: str, value: str):
+def _scalar(convert, expected: str):
+    def parse(key: str, value: str, kind: str = "config key"):
         try:
-            return kind(value)
+            return convert(value)
         except ValueError:
-            raise ValidationError(f"config key {key!r}: expected {expected}, got {value!r}") from None
+            raise ValidationError(f"{kind} {key!r}: expected {expected}, got {value!r}") from None
     return parse
 
 
@@ -55,8 +55,13 @@ _PARSE_BY_TYPE = {
     int: _scalar(_int, "an integer"), float: _scalar(float, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT
 }
 
-# Config key -> parser of its text value, chosen by the type of the field's default.
-PARSERS = {f.name: _PARSE_BY_TYPE[type(f.default)] for f in fields(RunConfig)}
+
+def parsers(defaults: dict) -> dict:
+    """Setting name -> parser of its text, ``parse(name, text, kind)``, chosen by the type of its default."""
+    return {name: _PARSE_BY_TYPE[type(default)] for name, default in defaults.items()}
+
+
+PARSERS = parsers({f.name: f.default for f in fields(RunConfig)})  # config key -> parser of its text value
 CONFIG_KEYS = tuple(PARSERS)
 # The keys each command reads: its flags and its manifest's config.  ``train`` and ``compare`` read them all.
 SWEEP_KEYS = tuple(key for key in CONFIG_KEYS if key != "eigen_dim")  # every swept width replaces eigen_dim

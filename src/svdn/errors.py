@@ -1,13 +1,16 @@
-"""Exception types shared across the package, the text decoder and reader
-that report undecodable input as one of them, ``open_private`` for a file
-only its owner may write, and the one way the package writes a file:
-``open_artifact``, all or nothing, with the package's one ``csv.writer``
-set-up, ``write_csv``, on top of it."""
+"""Exception types shared across the package, the one rule for an integer
+or real setting (``check_int``, ``check_real``), the text decoder and
+reader that report undecodable input as one of them, ``open_private`` for
+a file only its owner may write, and the one way the package writes a
+file: ``open_artifact``, all or nothing, with the package's one
+``csv.writer`` set-up, ``write_csv``, on top of it."""
 
 import csv
+import math
 import os
 import stat
 from contextlib import contextmanager
+from numbers import Integral, Real
 from pathlib import Path
 
 
@@ -25,6 +28,25 @@ class NumericError(SvdnError):
 
 class DegeneracyError(SvdnError):
     """Input is rank-deficient or otherwise degenerate for the requested operation."""
+
+
+def check_int(label: str, value, low: int) -> int:
+    """``value`` as an int if it is an integer, not a bool, and ``>= low``; else ValidationError naming ``label``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{label} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_real(label: str, value, positive: bool) -> float:
+    """``value`` as a float if it is a finite real, not a bool, and > 0 (``positive``) or >= 0;
+    else ValidationError naming ``label``."""
+    try:  # the float, not the value, is compared: a numpy float32 meets no float64 bound
+        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise ValidationError(f"{label} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return number
 
 
 def decode_text(raw: bytes, path) -> str:

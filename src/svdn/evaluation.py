@@ -20,15 +20,14 @@ import hashlib
 import io
 import os
 import stat
-import sys
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError, decode_text, open_artifact, open_private, write_csv
+from .errors import DegeneracyError, ValidationError, check_int, check_real, decode_text, open_artifact, open_private
+from .errors import write_csv
 from .linalg import _sq_dist_blocks, as_matrix
 
 SPLIT_TRAIN = "train"
@@ -190,20 +189,11 @@ def generate_synthetic(
     query and the rest are gallery, which guarantees every query has a
     cross-camera positive.
     """
-    for name, value, low in (
-        ("identities", identities, 2),
-        ("cameras", cameras, 2),
-        ("samples_per_id_camera", samples_per_id_camera, 2),  # with 1, no query has a cross-camera positive
-        ("dim", dim, 1),
-        ("seed", seed, 0),
-    ):
-        if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
-            raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-    # a numpy integer would carry its dtype into the arithmetic: np.sqrt of a uint8 is float16
-    identities, cameras, samples_per_id_camera, dim, seed = map(int, (identities, cameras, samples_per_id_camera, dim, seed))
-    for name, value in (("noise", noise), ("camera_scale", camera_scale)):
-        if not (isinstance(value, Real) and 0 <= value <= sys.float_info.max):  # NaN fails too
-            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    # Python ints: a numpy integer would carry its dtype into the arithmetic (np.sqrt of a uint8 is float16)
+    identities, cameras = check_int("identities", identities, 2), check_int("cameras", cameras, 2)
+    samples_per_id_camera = check_int("samples_per_id_camera", samples_per_id_camera, 2)  # 1: no cross-camera positive
+    dim, seed = check_int("dim", dim, 1), check_int("seed", seed, 0)
+    noise, camera_scale = check_real("noise", noise, False), check_real("camera_scale", camera_scale, False)
 
     rng = np.random.default_rng(seed)
     rank = max(1, dim // 2)

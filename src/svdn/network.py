@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, open_artifact
+from .errors import ValidationError, check_int, open_artifact
 from .linalg import as_matrix
 
 CHECKPOINT_MAGIC = b"SVDN"
@@ -269,15 +268,10 @@ def _row_blocks(n: int):
 def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, seed: int) -> EigenModel:
     """Fresh model with scaled-uniform fan-in initialization,
     U(-1/sqrt(fan_in), 1/sqrt(fan_in)), for every parameter."""
-    hidden_dims = tuple(hidden_dims)
-    for d in (input_dim, *hidden_dims, eigen_dim, num_classes):
-        if not isinstance(d, Integral):
-            raise ValidationError(f"layer dimensions must be integers, got {d!r}")
-    if input_dim < 1 or eigen_dim < 1 or any(d < 1 for d in hidden_dims):
-        raise ValidationError("all layer dimensions must be >= 1")
-    if num_classes < 2:
-        raise ValidationError(f"need at least 2 classes, got {num_classes}")
-    rng = np.random.default_rng(seed)
+    input_dim = check_int("input_dim", input_dim, 1)
+    hidden_dims = tuple(check_int("hidden_dims entry", d, 1) for d in hidden_dims)
+    eigen_dim, num_classes = check_int("eigen_dim", eigen_dim, 1), check_int("num_classes", num_classes, 2)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
 
     def affine(fan_in: int, fan_out: int) -> AffineLayer:
         bound = 1.0 / np.sqrt(fan_in)

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import astuple, dataclass, field, fields, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,7 @@ import numpy as np
 from . import decorrelate
 from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
-from .errors import NumericError, ValidationError, write_csv
+from .errors import NumericError, ValidationError, check_int, check_real, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
 from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _grads_into, _split, build_model, save_checkpoint
 
@@ -92,24 +90,20 @@ class RriSchedule:
     feature: str = DEFAULT_FEATURE
 
     def __post_init__(self) -> None:
-        """Check every field by the type of its default: integers, not bools
-        (seed >= 0, the others >= 1), finite positive numbers (stored as
-        floats), widths (stored as a tuple), and the feature."""
+        """Check every field by the type of its default: integers (seed >= 0,
+        the others >= 1, ``check_int``), finite positive numbers (``check_real``),
+        widths (each an integer >= 1, stored as a tuple), and the feature."""
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, label = getattr(self, f.name), f"schedule field {f.name!r}"
             if isinstance(f.default, int):
-                low = 0 if f.name == "seed" else 1
-                if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
-                    raise ValidationError(f"schedule field {f.name!r} must be an integer >= {low}, got {value!r}")
+                value = check_int(label, value, 0 if f.name == "seed" else 1)
             elif isinstance(f.default, float):
-                if not (isinstance(value, Real) and 0 < value <= sys.float_info.max):
-                    raise ValidationError(f"schedule field {f.name!r} must be finite and > 0, got {value!r}")
-                object.__setattr__(self, f.name, float(value))
+                value = check_real(label, value, positive=True)
             elif isinstance(f.default, tuple):
-                entries = value if isinstance(value, (tuple, list)) else (None,)  # not a sequence: one bad entry
-                if not all(isinstance(d, Integral) and not isinstance(d, bool) and d >= 1 for d in entries):
-                    raise ValidationError(f"schedule field {f.name!r} must hold integers >= 1, got {value!r}")
-                object.__setattr__(self, f.name, tuple(value))
+                if not isinstance(value, (tuple, list)):
+                    raise ValidationError(f"{label} must hold integers >= 1, got {value!r}")
+                value = tuple(check_int(f"{label} entry", d, 1) for d in value)
+            object.__setattr__(self, f.name, value)
         if self.feature not in FEATURE_KINDS:
             raise ValidationError(f"schedule field 'feature' must be one of {FEATURE_KINDS}, got {self.feature!r}")
 
@@ -273,8 +267,7 @@ def run_baseline(
     """Equal-epoch control: ``run_rri``'s phases over ``n_rri`` iterations
     with no weight replacement and nothing frozen, recorded once at the
     end.  ``n_rri=0`` scores the model as given."""
-    if n_rri < 0:
-        raise ValidationError(f"n_rri must be >= 0, got {n_rri}")
+    n_rri = check_int("n_rri", n_rri, 0)
     train, record = _setup(model, data, schedule, 1)
     for _, *phase in _iteration_phases(schedule, None) * n_rri:
         train(*phase)

@@ -301,13 +301,22 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, com
         (["eval", "--ckpt", "ckpt.svdn", "--dataset", "missing.csv"], "config key 'dataset': no such file 'missing.csv'"),
         (["sweep-dim", "--dims", "4,,8"], "flag '--dims': expected comma-separated integers, got '4,,8'"),
         (["compare", "--methods", "US,Bogus"], "unknown decorrelation method 'Bogus'"),
+        (["gen", "--ids", "1_6"], "parameter 'identities': expected an integer, got '1_6'"),
+        (["gen", "--ids", "+4"], "parameter 'identities': expected an integer, got '+4'"),
+        (["gen", "--ids", "\u0664"], "parameter 'identities': expected an integer, got '\u0664'"),
+        (["gen", "--ids", "0"], "identities must be an integer >= 2, got 0"),
+        (["gen", "--noise", "nan"], "noise must be finite and >= 0, got nan"),
     ],
-    ids=["empty_width_item", "infinite_rate", "missing_dataset", "empty_dims_item", "unknown_method"],
+    ids=[
+        "empty_width_item", "infinite_rate", "missing_dataset", "empty_dims_item", "unknown_method",
+        "gen_underscored_ids", "gen_signed_ids", "gen_non_ascii_ids", "gen_too_few_ids", "gen_nan_noise",
+    ],
 )
 def test_rejected_setting_exits_2_before_out_is_made(tmp_path, config_path, capsys, argv, message):
-    # as an argparse rejection does: the settings and the dataset are read before --out is made
+    # as an argparse rejection does: the settings and the dataset (gen: made) are read before --out is made
     out = tmp_path / "out"
-    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+    config = [] if argv[0] == "gen" else ["--config", str(config_path)]  # gen reads no config file
+    assert main([*argv, *config, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

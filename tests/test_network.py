@@ -505,11 +505,13 @@ class TestBuildModel:
         "args, bad", [((8, (16,), 6.7, 3), "6.7"), ((8.0, (16,), 6, 3), "8.0"), ((8, (16,), 6, 3.0), "3.0")]
     )
     def test_non_integer_dimension_rejected(self, args, bad):
-        with pytest.raises(ValidationError, match=f"integers, got {bad}"):
+        label, low = {"6.7": ("eigen_dim", 1), "8.0": ("input_dim", 1), "3.0": ("num_classes", 2)}[bad]
+        with pytest.raises(ValidationError, match=re.escape(f"{label} must be an integer >= {low}, got {bad}")):
             build_model(*args, seed=0)
 
     def test_non_integer_width_not_truncated(self):
-        with pytest.raises(ValidationError, match="2.9"):
+        # the widths are checked in argument order, so the bad hidden width is named before the bad eigen_dim
+        with pytest.raises(ValidationError, match=re.escape("hidden_dims entry must be an integer >= 1, got 2.9")):
             build_model(8, (16, 2.9), 6.7, 3, 0)
 
     def test_numpy_integer_dimensions_accepted(self):
