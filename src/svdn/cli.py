@@ -9,12 +9,13 @@ with and without the iteration scheme).
 
 Every subcommand runs through ``_run``: resolve the config and load the
 dataset (``gen`` makes its own), create ``--out``, write ``manifest.json``
-(tool version, seed, the settings it reads, artifact paths) before any
-work, and exit 0 only if every artifact exists afterwards; a rejected
-flag or setting exits 2 before ``--out`` is made.  Every file is written
-through ``errors.open_artifact``, so a failed command leaves no partial
-file under an artifact's name.  A command takes one flag per setting it
-reads, its text parsed by ``config.parsers``: ``gen`` per parameter of
+(tool version, seed, the settings it reads, its other arguments, artifact
+paths) before any work, and exit 0 only if every artifact exists
+afterwards; a rejected flag or setting exits 2 before ``--out`` is made.
+Every file is written through ``errors.open_artifact``, so a failed
+command leaves no partial file under an artifact's name.  A command
+takes one flag per setting it reads, its text parsed by
+``config.parsers``: ``gen`` per parameter of
 ``generate_synthetic``, with its default; the others per key of their
 set in ``config`` (``CONFIG_KEYS``, ``SWEEP_KEYS`` or ``SCORE_KEYS``;
 ``--step0-epochs`` sets ``step0_epochs``).  Flags override the
@@ -91,11 +92,13 @@ def _run(args) -> int:
         seed, config = cfg.seed, {key: getattr(cfg, key) for key in args.keys}
     out = Path(args.out)  # made once the settings and the dataset pass, as an argparse rejection makes none
     out.mkdir(parents=True, exist_ok=True)
+    arguments = {name: getattr(args, name) for name in args.arguments}
     manifest = dict(
-        tool="svdn", version=__version__, command=args.command, seed=seed, config=config, artifacts=args.artifacts
+        tool="svdn", version=__version__, command=args.command, seed=seed, config=config, arguments=arguments,
+        artifacts=args.artifacts,
     )
-    with open_artifact(out / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open_artifact(out / "manifest.json") as fh:  # a DecorrMethod is recorded by its name
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=lambda method: method.value) + "\n")
 
     args.work(args, out, cfg, data)
     missing = [rel for rel in args.artifacts.values() if not (out / rel).exists()]
@@ -208,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     # keys: the settings read, one flag each.  dataset_use: "required", "optional", or None for gen.
-    def command(name, work, artifacts, keys, dataset_use, summary):
+    # arguments: add_argument's flags and options of each argument that is not a setting, for the manifest.
+    def command(name, work, artifacts, keys, dataset_use, summary, arguments):
         sub = subs.add_parser(name, help=summary)
         sub.add_argument("--out", default="runs", help="output directory (default: runs)")
         gen = dataset_use is None
@@ -219,11 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
             flag, default = _GEN_FLAGS.get(key, "--" + key.replace("_", "-")), defaults.get(key)
             doc = f"default: {default}" if gen else f"overrides config key {key}"
             sub.add_argument(flag, dest=key, type=partial(parse[key], key, kind=kind), default=default, help=doc)
-        sub.set_defaults(work=work, artifacts=artifacts, keys=keys, dataset_use=dataset_use, parser=sub)
-        return sub
+        dests = tuple(sub.add_argument(flag, **options).dest for flag, options in arguments.items())
+        sub.set_defaults(work=work, artifacts=artifacts, keys=keys, dataset_use=dataset_use, parser=sub, arguments=dests)
 
     command(
-        "gen", cmd_gen, {"dataset": "dataset.csv"}, tuple(_GEN_DEFAULTS), None, "write a synthetic retrieval dataset"
+        "gen", cmd_gen, {"dataset": "dataset.csv"}, tuple(_GEN_DEFAULTS), None, "write a synthetic retrieval dataset", {}
     )
 
     command(
@@ -233,30 +237,30 @@ def _build_parser() -> argparse.ArgumentParser:
         CONFIG_KEYS,
         "required",
         "step 0 plus restraint/relaxation iterations",
+        {},
     )
 
-    ev = command(
-        "eval", cmd_eval, {"report": "report.csv"}, SCORE_KEYS, "required", "score a checkpoint against a dataset"
+    command(
+        "eval", cmd_eval, {"report": "report.csv"}, SCORE_KEYS, "required", "score a checkpoint against a dataset",
+        {"--ckpt": dict(required=True), "--l2-normalize": dict(action="store_true", help="cosine-style scoring")},
     )
-    ev.add_argument("--ckpt", required=True)
-    ev.add_argument("--l2-normalize", dest="l2_normalize", action="store_true", help="cosine-style scoring")
 
-    diag = command(
+    command(
         "diagnose", cmd_diagnose, {"diagnose": "diagnose.csv"}, SCORE_KEYS, "optional",
         "print the correlation score per checkpoint",
+        {"checkpoints": dict(nargs="+", help="checkpoint files or directories")},
     )
-    diag.add_argument("checkpoints", nargs="+", help="checkpoint files or directories")
 
-    comp = command(
+    command(
         "compare", cmd_compare, {"comparison": "comparison.csv"}, CONFIG_KEYS, "required",
         "train once per replacement method",
+        {"--methods": dict(type=_methods_flag, default=None, help="comma-separated subset of Orig,US,U,UVt,QD")},
     )
-    comp.add_argument("--methods", type=_methods_flag, default=None, help="comma-separated subset of Orig,US,U,UVt,QD")
 
-    sweep = command(
-        "sweep-dim", cmd_sweep_dim, {"sweep": "sweep_dim.csv"}, SWEEP_KEYS, "required", "train across embedding widths"
+    command(
+        "sweep-dim", cmd_sweep_dim, {"sweep": "sweep_dim.csv"}, SWEEP_KEYS, "required", "train across embedding widths",
+        {"--dims": dict(type=_dims_flag, default="4,8,16,32,64,128", help="comma-separated eigenlayer widths")},
     )
-    sweep.add_argument("--dims", type=_dims_flag, default="4,8,16,32,64,128", help="comma-separated eigenlayer widths")
     return parser
 
 

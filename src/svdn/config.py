@@ -6,6 +6,7 @@ field names: the ``RriSchedule`` fields, then ``dataset``.  ``PARSERS``
 maps each key to the parser of its text value, picked by the type of its
 default (``parsers``, as for ``gen``'s flags); the config file and the
 CLI flags go through it.  Unknown and repeated keys are rejected by name.
+A number's text is ASCII (``_int``, ``_real``): no underscore, leading "+" or other digits.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ class RunConfig(RriSchedule):
     dataset: str | None = None
 
 
-_INT_TEXT = re.compile(r"\s*-?\d+\s*", re.ASCII)  # not the underscores, "+" or non-ASCII digits int() takes
+def _text_rule(pattern: str, convert):
+    """``convert`` of text that ``pattern`` matches whole (ASCII, any letter case), else ValueError."""
+    rule = re.compile(pattern, re.ASCII | re.IGNORECASE)
+
+    def parse(text: str):
+        if not rule.fullmatch(text):
+            raise ValueError(text)
+        return convert(text)
+    return parse
 
 
-def _int(text: str) -> int:
-    if not _INT_TEXT.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
+# ASCII digits after an optional "-": not the underscores, "+" or non-ASCII digits int() and float() take
+_int = _text_rule(r"\s*-?\d+\s*", int)
+_real = _text_rule(r"\s*-?((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)\s*", float)
 
 
 def _scalar(convert, expected: str):
@@ -52,7 +60,7 @@ def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...
 
 _TEXT = _scalar(str, "text")
 _PARSE_BY_TYPE = {
-    int: _scalar(_int, "an integer"), float: _scalar(float, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT
+    int: _scalar(_int, "an integer"), float: _scalar(_real, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT
 }
 
 

@@ -30,10 +30,6 @@ from .linalg import as_matrix
 CHECKPOINT_MAGIC = b"SVDN"
 CHECKPOINT_VERSION = 1
 
-_ROLE_BACKBONE = 0
-_ROLE_EIGENLAYER = 1
-_ROLE_CLASSIFIER = 2
-
 FEATURE_KINDS = ("input", "output")
 DEFAULT_FEATURE = "input"
 
@@ -294,77 +290,66 @@ def build_model(input_dim: int, hidden_dims, eigen_dim: int, num_classes: int, s
 #   per layer: role u8 (0 backbone, 1 eigenlayer, 2 classifier)
 #              rows u32 | cols u32 | rows*cols float64 row-major
 #              bias flag u8 | cols float64 when flag == 1
+def _layout(n_backbone: int) -> list[tuple[int, int]]:
+    """Each checkpoint layer's (role, bias flag), in file order, for a model
+    with ``n_backbone`` backbone layers: the writer follows it, the reader checks it."""
+    return [(0, 1)] * n_backbone + [(1, 0), (2, 1)]
+
+
 def save_checkpoint(model: EigenModel, path) -> None:
     """Write the model to ``path``; the round-trip is bit-exact."""
-    layers: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-    for layer in model.backbone:
-        layers.append((_ROLE_BACKBONE, layer.weight, layer.bias))
-    layers.append((_ROLE_EIGENLAYER, model.eigenlayer, None))
-    layers.append((_ROLE_CLASSIFIER, model.classifier.weight, model.classifier.bias))
-
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<HH", CHECKPOINT_VERSION, len(layers))
-    for role, weight, bias in layers:
-        rows, cols = weight.shape
-        blob += struct.pack("<BII", role, rows, cols)
+    layout = _layout(len(model.backbone))
+    arrays = (p for _, p in model.param_items())  # file order: each weight, then its bias if it has one
+    blob = bytearray(CHECKPOINT_MAGIC)
+    blob += struct.pack("<HH", CHECKPOINT_VERSION, len(layout))
+    for role, flag in layout:
+        weight = next(arrays)
+        blob += struct.pack("<BII", role, *weight.shape)
         blob += np.ascontiguousarray(weight, dtype="<f8").tobytes()
-        blob += struct.pack("<B", bias is not None)
-        if bias is not None:
-            blob += np.ascontiguousarray(bias, dtype="<f8").tobytes()
+        blob += struct.pack("<B", flag)
+        if flag:
+            blob += np.ascontiguousarray(next(arrays), dtype="<f8").tobytes()
     with open_artifact(path, "wb") as fh:
         fh.write(blob)
 
 
 def load_checkpoint(path) -> EigenModel:
     """Read a model written by :func:`save_checkpoint`, validating the
-    magic, version, layer roles, shape chain, and that every parameter is
+    magic, version, layer layout, shape chain, and that every parameter is
     finite."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
-    off = 4
+    layout, arrays, off = [], [], 8  # each layer's (role, bias flag); its weight, then its bias if flagged
     try:
-        version, count = struct.unpack_from("<HH", raw, off)
-        off += 4
+        version, count = struct.unpack_from("<HH", raw, 4)
         if version != CHECKPOINT_VERSION:
             raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-        parsed: list[tuple[int, np.ndarray, np.ndarray | None]] = []
         for _ in range(count):
             role, rows, cols = struct.unpack_from("<BII", raw, off)
             off += 9
             n = rows * cols
-            weight = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(rows, cols)
+            arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(rows, cols))
             off += 8 * n
             (flag,) = struct.unpack_from("<B", raw, off)
             off += 1
-            bias = None
-            if flag == 1:
-                bias = np.frombuffer(raw, dtype="<f8", count=cols, offset=off)
+            if flag:
+                arrays.append(np.frombuffer(raw, dtype="<f8", count=cols, offset=off))
                 off += 8 * cols
-            elif flag != 0:
-                raise ValidationError(f"{path}: bad bias flag {flag}")
-            parsed.append((role, weight, bias))
-    except (struct.error, ValueError) as exc:
+            layout.append((role, flag))
+    except (struct.error, ValueError, OverflowError) as exc:  # OverflowError: rows * cols past numpy's index range
         raise ValidationError(f"{path}: truncated or corrupt checkpoint") from exc
     if off != len(raw):
         raise ValidationError(f"{path}: {len(raw) - off} trailing bytes after last layer")
 
-    roles = [role for role, _, _ in parsed]
-    if roles[:-2].count(_ROLE_BACKBONE) != len(roles) - 2 or roles[-2:] != [_ROLE_EIGENLAYER, _ROLE_CLASSIFIER]:
-        raise ValidationError(f"{path}: unexpected layer roles {roles}")
-    if any(bias is None for _, _, bias in parsed[:-2]):
-        raise ValidationError(f"{path}: backbone layer missing bias")
-    backbone = [AffineLayer(weight, bias) for _, weight, bias in parsed[:-2]]
-    _, eigen_w, eigen_b = parsed[-2]
-    if eigen_b is not None:
-        raise ValidationError(f"{path}: eigenlayer must not carry a bias")
-    _, cls_w, cls_b = parsed[-1]
-    if cls_b is None:
-        raise ValidationError(f"{path}: classifier layer missing bias")
-
+    expected = _layout(max(count - 2, 0))
+    if layout != expected:  # the first layer that differs; a file of under two layers lacks one
+        i, got = next((i, got) for i, (got, want) in enumerate(zip([*layout, "missing"], expected)) if got != want)
+        raise ValidationError(f"{path}: layer {i} (role, bias flag) is {got}, expected {expected[i]}")
+    views = iter(arrays)  # bound as EigenModel binds its views
     try:
-        model = EigenModel(backbone=backbone, eigenlayer=eigen_w, classifier=AffineLayer(cls_w, cls_b))
+        backbone = tuple(AffineLayer(next(views), next(views)) for _ in range(count - 2))
+        model = EigenModel(backbone, next(views), AffineLayer(next(views), next(views)))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     for name, p in model.param_items():

@@ -306,10 +306,15 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, config_path, capsys, com
         (["gen", "--ids", "\u0664"], "parameter 'identities': expected an integer, got '\u0664'"),
         (["gen", "--ids", "0"], "identities must be an integer >= 2, got 0"),
         (["gen", "--noise", "nan"], "noise must be finite and >= 0, got nan"),
+        (["gen", "--noise", "0_5"], "parameter 'noise': expected a number, got '0_5'"),
+        (["gen", "--noise", "+0.5"], "parameter 'noise': expected a number, got '+0.5'"),
+        (["gen", "--noise", "\u0660.\u0665"], "parameter 'noise': expected a number, got '\u0660.\u0665'"),
+        (["train", "--lr-step0", "0_5"], "config key 'lr_step0': expected a number, got '0_5'"),
     ],
     ids=[
         "empty_width_item", "infinite_rate", "missing_dataset", "empty_dims_item", "unknown_method",
         "gen_underscored_ids", "gen_signed_ids", "gen_non_ascii_ids", "gen_too_few_ids", "gen_nan_noise",
+        "gen_underscored_noise", "gen_signed_noise", "gen_non_ascii_noise", "underscored_rate",
     ],
 )
 def test_rejected_setting_exits_2_before_out_is_made(tmp_path, config_path, capsys, argv, message):
@@ -597,19 +602,30 @@ def _settings_flags(command):
 @pytest.mark.parametrize("command", COMMAND_SETTINGS)
 def test_manifest_records_exactly_the_settings_flags(tmp_path, config_path, trained, command):
     out = str(tmp_path / "out")
-    argv = {
-        "gen": ["gen", "--out", out, "--ids", "6", "--cameras", "2", "--samples", "2"],
-        "train": ["train", "--config", str(config_path), "--out", out, *SHORT],
-        "eval": ["eval", "--config", str(config_path), "--out", out, "--ckpt", str(trained / "ckpt_final.svdn")],
-        "diagnose": ["diagnose", "--out", out, "--seed", "7", str(trained / "ckpt_rri0_step0.svdn")],
-        "compare": ["compare", "--config", str(config_path), "--out", out, "--methods", "US", *SHORT],
-        "sweep-dim": ["sweep-dim", "--config", str(config_path), "--out", out, "--dims", "4", *SHORT],
+    final, step0 = str(trained / "ckpt_final.svdn"), str(trained / "ckpt_rri0_step0.svdn")
+    argv, arguments = {
+        "gen": (["gen", "--out", out, "--ids", "6", "--cameras", "2", "--samples", "2"], {}),
+        "train": (["train", "--config", str(config_path), "--out", out, *SHORT], {}),
+        "eval": (["eval", "--config", str(config_path), "--out", out, "--ckpt", final, "--l2-normalize"],
+                 {"ckpt": final, "l2_normalize": True}),
+        "diagnose": (["diagnose", "--out", out, "--seed", "7", step0, final], {"checkpoints": [step0, final]}),
+        "compare": (["compare", "--config", str(config_path), "--out", out, "--methods", "us,QD", *SHORT],
+                    {"methods": ["US", "QD"]}),
+        "sweep-dim": (["sweep-dim", "--config", str(config_path), "--out", out, "--dims", "4", *SHORT], {"dims": [4]}),
     }[command]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert _settings_flags(command) == COMMAND_SETTINGS[command]
     assert {*manifest["config"], "seed"} == COMMAND_SETTINGS[command]
     assert isinstance(manifest["seed"], int)
+    assert manifest["arguments"] == arguments  # every other argument, by the name its command parses it to
+
+
+def test_eval_manifest_records_l2_normalize_off(tmp_path, config_path, trained):
+    out = tmp_path / "out"
+    ckpt = str(trained / "ckpt_final.svdn")
+    assert main(["eval", "--config", str(config_path), "--out", str(out), "--ckpt", ckpt]) == 0
+    assert json.loads((out / "manifest.json").read_text())["arguments"] == {"ckpt": ckpt, "l2_normalize": False}
 
 
 # Every flag a command does not read, on an otherwise valid command line.

@@ -136,6 +136,30 @@ def test_integer_keys_are_ascii_integer_text(value):
         parse_config(f"max_rri = {value}")
 
 
+@pytest.mark.parametrize("value", ["0_5", "+0.5", "\u0660.\u0665", "1e\u0663", "+inf", "1e_3", ".", "1e"])
+def test_real_keys_are_ascii_real_text(value):
+    with pytest.raises(ValidationError, match=re.escape(f"config key 'lr_step0': expected a number, got {value!r}")):
+        parse_config(f"lr_step0 = {value}")
+
+
+@pytest.mark.parametrize(
+    "value, expected", [("0.5", 0.5), (".5", 0.5), ("5.", 5.0), ("7", 7.0), ("1e-3", 1e-3), ("2.5E+2", 250.0)]
+)
+def test_real_text_takes_a_fraction_and_an_exponent(value, expected):
+    assert parse_config(f"epsilon_s = {value}").epsilon_s == expected
+
+
+@pytest.mark.parametrize("value, message", [
+    ("inf", "schedule field 'lr_step0' must be finite and > 0, got inf"),
+    ("-Infinity", "schedule field 'lr_step0' must be finite and > 0, got -inf"),
+    ("nan", "schedule field 'lr_step0' must be finite and > 0, got nan"),
+    ("-0.5", "schedule field 'lr_step0' must be finite and > 0, got -0.5"),
+])
+def test_real_words_and_signs_get_the_schedule_range_message(value, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(f"lr_step0 = {value}")
+
+
 def test_negative_integer_gets_the_schedule_range_message():
     with pytest.raises(ValidationError, match="^schedule field 'seed' must be an integer >= 0, got -1$"):
         parse_config("seed = -1")

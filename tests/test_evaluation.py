@@ -647,6 +647,12 @@ class TestCsvRoundTrips:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("id,camera,split,f0,f1\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: no rows after the header")):
+            load_dataset(path)
+
     def test_bad_split_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         # a tag longer than any valid one must not be cut down to a valid one

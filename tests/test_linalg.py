@@ -120,6 +120,10 @@ class TestQr:
         with pytest.raises(DegeneracyError):
             qr(np.zeros((3, 2)))
 
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape("w: thin orientation requires rows >= cols, got 2x3")):
+            qr(np.ones((2, 3)))
+
 
 class TestPairwiseSqDist:
     def test_known_value(self):
@@ -157,6 +161,11 @@ class TestPairwiseSqDist:
     def test_malformed_input_named(self, bad):
         with pytest.raises(ValidationError, match="^a: expected a numeric 2-D array"):
             pairwise_sq_dist(bad, [[1.0]])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_named(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"m: empty matrix of shape {shape}")):
+            linalg.as_matrix(np.zeros(shape), "m")
 
     def test_common_offset_identical_pair_exact_zero(self):
         rng = np.random.default_rng(3)

@@ -298,6 +298,13 @@ class TestLossAndGrads:
         with pytest.raises(ValidationError):
             model.loss(batch, labels.astype(float))
 
+    @pytest.mark.parametrize("shape", [(6,), (8,), (7, 1)], ids=["short", "long", "column"])
+    def test_labels_of_the_wrong_shape_named(self, shape):
+        model = tiny_model()
+        batch, _ = tiny_batch(model, m=7)
+        with pytest.raises(ValidationError, match=re.escape(f"labels must be a length-7 sequence, got shape {shape}")):
+            model.loss(batch, np.zeros(shape, dtype=np.int64))
+
     def test_gradients_match_finite_differences(self):
         model = tiny_model(seed=11)
         assert model.num_params() <= 1000
@@ -489,6 +496,63 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValidationError, match="trailing"):
+            load_checkpoint(path)
+
+
+def _layer(role, rows, cols, flag):
+    """One checkpoint layer: a rows x cols weight of 0.5, then its bias of 0.25 when ``flag`` is set."""
+    blob = struct.pack("<BII", role, rows, cols) + np.full(rows * cols, 0.5).tobytes() + struct.pack("<B", flag)
+    return blob + (np.full(cols, 0.25).tobytes() if flag else b"")
+
+
+def _checkpoint(layers, version=1):
+    return CHECKPOINT_MAGIC + struct.pack("<HH", version, len(layers)) + b"".join(layers)
+
+
+# a 3 -> 4 backbone layer, a 4 -> 2 eigenlayer and a 2 -> 3 classifier
+BACKBONE, EIGEN, CLASSIFIER = _layer(0, 3, 4, 1), _layer(1, 4, 2, 0), _layer(2, 2, 3, 1)
+
+
+class TestCheckpointLayout:
+    def test_model_without_backbone_loads(self, tmp_path):
+        path = tmp_path / "flat.svdn"
+        path.write_bytes(_checkpoint([_layer(1, 3, 2, 0), CLASSIFIER]))
+        model = load_checkpoint(path)
+        assert model.backbone == () and model.input_dim == 3 and model.num_classes == 3
+        assert np.array_equal(model.params, [0.5] * 12 + [0.25] * 3)
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ([BACKBONE, _layer(1, 4, 2, 1), CLASSIFIER], "layer 1 (role, bias flag) is (1, 1), expected (1, 0)"),
+            ([_layer(0, 3, 4, 0), EIGEN, CLASSIFIER], "layer 0 (role, bias flag) is (0, 0), expected (0, 1)"),
+            ([BACKBONE, EIGEN, _layer(2, 2, 3, 0)], "layer 2 (role, bias flag) is (2, 0), expected (2, 1)"),
+            ([BACKBONE, EIGEN, _layer(2, 2, 3, 2)], "layer 2 (role, bias flag) is (2, 2), expected (2, 1)"),
+            ([BACKBONE, _layer(2, 4, 2, 0), _layer(1, 2, 3, 1)], "layer 1 (role, bias flag) is (2, 0), expected (1, 0)"),
+            ([_layer(7, 3, 4, 1), EIGEN, CLASSIFIER], "layer 0 (role, bias flag) is (7, 1), expected (0, 1)"),
+            ([_layer(1, 3, 2, 0)], "layer 1 (role, bias flag) is missing, expected (2, 1)"),
+            ([], "layer 0 (role, bias flag) is missing, expected (1, 0)"),
+        ],
+        ids=["eigenlayer_bias", "backbone_no_bias", "classifier_no_bias", "bias_flag_2", "swapped_roles",
+             "role_7", "one_layer", "zero_layers"],
+    )
+    def test_bad_layout_names_the_first_bad_layer(self, tmp_path, layers, message):
+        path = tmp_path / "bad.svdn"
+        path.write_bytes(_checkpoint(layers))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.svdn"
+        path.write_bytes(_checkpoint([BACKBONE, EIGEN, CLASSIFIER], version=2))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: unsupported checkpoint version 2")):
+            load_checkpoint(path)
+
+    def test_weight_past_numpy_index_range_is_corrupt(self, tmp_path):
+        # 2**32 - 1 squared elements overflow numpy's count, which raised OverflowError
+        path = tmp_path / "huge.svdn"
+        path.write_bytes(_checkpoint([struct.pack("<BII", 1, 2**32 - 1, 2**32 - 1), CLASSIFIER]))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: truncated or corrupt checkpoint")):
             load_checkpoint(path)
 
 

@@ -59,6 +59,20 @@ def small_model(data, seed=3, eigen=6):
     return build_model(data.dim, (16, 12), eigen, c, seed)
 
 
+@pytest.mark.parametrize(
+    "ids, split, message",
+    [
+        ([1, 1, 2, 2], ["query", "gallery", "query", "gallery"], "dataset has an empty training split"),
+        ([1, 1, 1, 1], ["train", "train", "query", "gallery"], "need at least 2 training identities, got 1"),
+    ],
+    ids=["no_training_rows", "one_training_identity"],
+)
+def test_initial_model_needs_two_training_identities(ids, split, message):
+    data = RetrievalDataset(features=np.ones((4, 3)), ids=ids, cameras=[0, 1, 0, 1], split=np.array(split))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        initial_model(data, small_schedule())
+
+
 class TestSchedule:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValidationError, match="step0_epochs"):
