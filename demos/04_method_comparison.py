@@ -6,10 +6,11 @@ applies none).  The distance-preserving US replacement should come out
 on top.
 """
 
-from svdn import DecorrMethod, RriSchedule, generate_synthetic, run_decorr_comparison
+from svdn import DecorrMethod, RriSchedule, generate_synthetic, initial_model, run_decorr_comparison
 
 data = generate_synthetic()
-results = dict(run_decorr_comparison(data, RriSchedule()))
+schedule = RriSchedule()
+results = dict(run_decorr_comparison(initial_model(data, schedule), data, schedule))
 
 print("method   rank-1    mAP")
 best = max(results, key=lambda method: results[method].map)

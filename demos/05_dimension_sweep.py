@@ -6,14 +6,17 @@ training wastes wide embeddings on redundant directions; the iteration
 scheme keeps the curve flat at the top.
 """
 
-from svdn import RriSchedule, generate_synthetic, run_dim_sweep
+from dataclasses import replace
+
+from svdn import RriSchedule, generate_synthetic, initial_model, run_dim_sweep
 
 data = generate_synthetic()
 schedule = RriSchedule()
+models = [initial_model(data, replace(schedule, eigen_dim=width)) for width in (4, 8, 16, 32, 64, 128)]
 
 print(f"{'width':>6} {'with iterations':>16} {'plain (equal epochs)':>21}")
 results = []
-for width, final, control in run_dim_sweep(data, schedule, (4, 8, 16, 32, 64, 128)):
+for width, final, control in run_dim_sweep(models, data, schedule):
     results.append((width, final.map, control.map))
     print(f"{width:>6} {final.map:>16.4f} {control.map:>21.4f}")
 

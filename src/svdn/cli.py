@@ -7,11 +7,11 @@ correlation score of checkpoints), ``compare`` (train once per
 replacement method), and ``sweep-dim`` (train across embedding widths
 with and without the iteration scheme).
 
-Every subcommand runs through ``_run``: resolve the config and load the
-dataset (``gen`` makes its own), create ``--out``, write ``manifest.json``
-(tool version, seed, the settings it reads, its other arguments, artifact
-paths) before any work, and exit 0 only if every artifact exists
-afterwards; a rejected flag or setting exits 2 before ``--out`` is made.
+Every subcommand runs through ``_run``: read its settings and dataset, run
+the command (a generator) to its one ``yield``, by which it has made and
+checked all else it reads, create ``--out`` and ``manifest.json`` (tool
+version, seed, settings read, other arguments, artifact paths), resume it,
+and exit 0 only if every artifact exists; a rejected input makes no ``--out``.
 Every file is written through ``errors.open_artifact``, so a failed
 command leaves no partial file under an artifact's name.  A command
 takes one flag per setting it reads, its text parsed by
@@ -28,6 +28,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -80,17 +81,18 @@ def _settings(args) -> RunConfig:
 
 
 def _run(args) -> int:
-    if args.dataset_use is None:  # gen: its settings are generate_synthetic's arguments, its dataset made here
-        config = {name: getattr(args, name) for name in args.keys}
-        data, cfg = generate_synthetic(**config), None
-        seed = config.pop("seed")
+    if args.dataset_use is None:  # gen: its settings are generate_synthetic's arguments
+        cfg, data = {name: getattr(args, name) for name in args.keys}, None
+        seed, config = cfg["seed"], {name: value for name, value in cfg.items() if name != "seed"}
     else:
         cfg = _settings(args)
         data = load_dataset(cfg.dataset) if cfg.dataset else None
         if data is not None:
             require_queries(data, f"dataset {cfg.dataset}")  # every command given data scores retrieval
         seed, config = cfg.seed, {key: getattr(cfg, key) for key in args.keys}
-    out = Path(args.out)  # made once the settings and the dataset pass, as an argparse rejection makes none
+    out = Path(args.out)
+    steps = args.work(args, out, cfg, data)
+    next(steps)  # the command makes and checks its inputs, so a rejection, as an argparse one, makes no --out
     out.mkdir(parents=True, exist_ok=True)
     arguments = {name: getattr(args, name) for name in args.arguments}
     manifest = dict(
@@ -100,7 +102,7 @@ def _run(args) -> int:
     with open_artifact(out / "manifest.json") as fh:  # a DecorrMethod is recorded by its name
         fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=lambda method: method.value) + "\n")
 
-    args.work(args, out, cfg, data)
+    next(steps, None)  # the command's writes
     missing = [rel for rel in args.artifacts.values() if not (out / rel).exists()]
     if missing:
         print(f"error: missing artifacts after run: {', '.join(missing)}", file=sys.stderr)
@@ -108,14 +110,18 @@ def _run(args) -> int:
     return 0
 
 
-def cmd_gen(args, out, cfg, data) -> None:
+def cmd_gen(args, out, cfg, data):
+    data = generate_synthetic(**cfg)
+    yield
     path = out / args.artifacts["dataset"]
     save_dataset(data, path)
     print(f"wrote {path}: {data.features.shape[0]} rows, dim {data.dim}")
 
 
-def cmd_train(args, out, cfg, data) -> None:
-    model, step0_record = train_step0(initial_model(data, cfg), data, cfg, out_dir=out)
+def cmd_train(args, out, cfg, data):
+    model = initial_model(data, cfg)
+    yield
+    model, step0_record = train_step0(model, data, cfg, out_dir=out)
     model, trace = run_rri(model, data, cfg, out_dir=out)
     trace.records.insert(0, step0_record)
     write_trace(trace, out / args.artifacts["trace"])
@@ -136,8 +142,9 @@ def _load_model(path, cfg, data):
     return model
 
 
-def cmd_eval(args, out, cfg, data) -> None:
+def cmd_eval(args, out, cfg, data):
     model = _load_model(args.ckpt, cfg, data)
+    yield
     qf = model.extract_features(data.query_features, cfg.feature)
     gf = model.extract_features(data.gallery_features, cfg.feature)
     if args.l2_normalize:
@@ -160,10 +167,11 @@ def _collect_checkpoints(paths: list[str]) -> list[Path]:
     return sorted(found, key=lambda path: parse_checkpoint_name(path.name)[2])
 
 
-def cmd_diagnose(args, out, cfg, data) -> None:
+def cmd_diagnose(args, out, cfg, data):
+    models = [(path, _load_model(path, cfg, data)) for path in _collect_checkpoints(args.checkpoints)]
+    yield
     rows = []
-    for path in _collect_checkpoints(args.checkpoints):
-        model = _load_model(path, cfg, data)
+    for path, model in models:
         score = s_of_w(model.eigenlayer)
         rank1, mean_ap = evaluate_model(model, data, cfg.feature) if data is not None else ("", "")
         rows.append((str(path), *parse_checkpoint_name(path.name)[:2], score, rank1, mean_ap))
@@ -180,19 +188,25 @@ def _dims_flag(text: str) -> tuple[int, ...]:
     dims = parse_dims("--dims", text, "flag")
     if not dims:
         raise ValidationError("flag '--dims': expected at least one dimension")
+    if repeated := sorted({dim for dim in dims if dims.count(dim) > 1}):
+        raise ValidationError(f"sweep dims {repeated} are given more than once; each width is trained once")
     return dims
 
 
-def cmd_compare(args, out, cfg, data) -> None:
-    rows = run_decorr_comparison(data, cfg, methods=args.methods)
+def cmd_compare(args, out, cfg, data):
+    model = initial_model(data, cfg)
+    yield
+    rows = run_decorr_comparison(model, data, cfg, methods=args.methods)
     write_csv(out / args.artifacts["comparison"], ["method", "rank1", "map"], [[m.value, r.rank1, r.map] for m, r in rows])
     print("method   rank1    mAP")
     for method, r in rows:
         print(f"{method.value:<8} {r.rank1:.4f}  {r.map:.4f}")
 
 
-def cmd_sweep_dim(args, out, cfg, data) -> None:
-    results = run_dim_sweep(data, cfg, args.dims)
+def cmd_sweep_dim(args, out, cfg, data):
+    models = [initial_model(data, replace(cfg, eigen_dim=dim)) for dim in args.dims]
+    yield
+    results = run_dim_sweep(models, data, cfg)
     for dim, w, wo in results:
         print(
             f"dim {dim:>4}: with-RRI mAP={w.map:.4f} rank1={w.rank1:.4f} | "

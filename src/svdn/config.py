@@ -48,16 +48,13 @@ def _scalar(convert, expected: str):
     return parse
 
 
-def parse_dims(key: str, value: str, kind: str = "config key") -> tuple[int, ...]:
+def _widths(text: str) -> tuple[int, ...]:
     """Comma-separated layer widths, such as ``128,64``, or none for empty
-    text; an empty item, as in ``4,,8``, is malformed.  Errors name the
-    ``kind`` ``key``."""
-    try:
-        return tuple(_int(part) for part in value.split(",")) if value.strip() else ()
-    except ValueError:
-        raise ValidationError(f"{kind} {key!r}: expected comma-separated integers, got {value!r}") from None
+    text; an empty item, as in ``4,,8``, is malformed (ValueError)."""
+    return tuple(_int(part) for part in text.split(",")) if text.strip() else ()
 
 
+parse_dims = _scalar(_widths, "comma-separated integers")
 _TEXT = _scalar(str, "text")
 _PARSE_BY_TYPE = {
     int: _scalar(_int, "an integer"), float: _scalar(_real, "a number"), tuple: parse_dims, str: _TEXT, type(None): _TEXT

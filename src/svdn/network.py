@@ -51,12 +51,12 @@ class AffineLayer:
 class EigenModel:
     """Backbone, eigenlayer and classifier over one parameter vector.
 
-    Making a model checks the shapes (every weight 2-D, every bias as long
-    as its weight is wide, each layer as wide as the next is tall; a
-    ValidationError names the first that is not), copies every given array
-    bit for bit into the float64 vector ``params``, in :meth:`param_items`
-    order, and binds each layer array to a view of it; ``backbone`` becomes
-    a tuple.  Fields cannot be rebound, so a caller writes in place.
+    Making a model checks the shapes (every weight 2-D, every bias as long as
+    its weight is wide, each layer as wide as the next is tall, the eigenlayer
+    tall for decorrelation; a ValidationError names the first that is not),
+    copies every given array bit for bit into the float64 vector ``params``, in
+    :meth:`param_items` order, and binds each layer array to a view of it;
+    ``backbone`` becomes a tuple.  Fields cannot be rebound, so writes are in place.
     :meth:`copy`, ``pickle`` and ``copy.deepcopy`` rebuild a model the same
     way, so each copy owns a vector of its own whose views are its layers.
     Models compare and hash by identity."""
@@ -77,6 +77,8 @@ class EigenModel:
                 raise ValidationError(f"{name} must be 2-D, got shape {shape}")
             elif width is not None and shape[0] != width:
                 raise ValidationError(f"layer shapes do not chain ({width} -> {shape[0]})")
+            elif name == "eigenlayer" and shape[0] < shape[1]:  # k orthogonal columns need k <= n rows
+                raise ValidationError(f"eigenlayer must be tall for decorrelation, got {shape[0]}x{shape[1]}")
             else:
                 width = shape[1]
         arrays = [p for _, p in items]

@@ -18,16 +18,16 @@ every phase boundary one ``record`` closure logs the correlation score,
 the training loss and retrieval quality, and writes a checkpoint.
 
 One ``RriSchedule`` holds every setting of a run: a frozen value, checked
-once, when made (``replace`` included).  ``initial_model`` builds a model
-of its shape; the entry points that are given a model train that model
-and read none of the shape fields, as ``run_rri`` reads no ``step0_epochs``.
+once, when made (``replace`` included).  Only ``initial_model`` makes a model of
+its shape; every entry point, the comparison and the sweep too, trains the models
+it is given and reads none of the shape fields, as ``run_rri`` reads no ``step0_epochs``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -179,9 +179,6 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
     require_queries(data)  # every phase boundary scores retrieval
     if model.num_classes != c:
         raise ValidationError(f"model has {model.num_classes} classes but the dataset has {c} training identities")
-    n, k = model.eigenlayer.shape
-    if n < k:
-        raise ValidationError(f"eigenlayer must be tall for decorrelation, got {n}x{k}")
     X = model._check_batch(X)
     rows = y.shape[0]
     rng = np.random.default_rng([schedule.seed, stream])
@@ -275,16 +272,16 @@ def run_baseline(
 
 
 def run_decorr_comparison(
-    data: RetrievalDataset, schedule: RriSchedule, methods=None
+    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, methods=None
 ) -> list[tuple[DecorrMethod, PhaseRecord]]:
-    """Train one model per replacement method (identical init and step 0,
-    thanks to the shared seed).  Returns ``(method, final RRI record)`` per
-    method, in ``DecorrMethod`` order."""
+    """Step 0 on ``model``, then RRI from one copy of it per replacement
+    method.  Returns ``(method, final RRI record)`` per method, in
+    ``DecorrMethod`` order."""
     requested = set(methods) if methods is not None else set(DecorrMethod)
     ordered = [m for m in DecorrMethod if m in requested]
     if not ordered:
         raise ValidationError("no decorrelation methods requested")
-    base, _ = train_step0(initial_model(data, schedule), data, schedule)
+    base, _ = train_step0(model, data, schedule)
     results = []
     for method in ordered:
         _, trace = run_rri(base.copy(), data, schedule, method=method)
@@ -292,25 +289,15 @@ def run_decorr_comparison(
     return results
 
 
-def run_dim_sweep(data: RetrievalDataset, schedule: RriSchedule, dims) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
-    """Train one model per eigenlayer width, ``schedule`` with ``eigen_dim``
-    replaced: step 0, then RRI from one copy and the equal-epoch
-    ``run_baseline`` control (as many iterations as RRI ran) from another.
-    Returns ``(width, final RRI record, baseline record)`` per width.  Every
-    width is checked before any training."""
-    dims, n_backbone_out = tuple(dims), (data.dim, *schedule.hidden_dims)[-1]
-    bad = [dim for dim in dims if not 1 <= dim <= n_backbone_out]
-    if bad:
-        raise ValidationError(f"sweep dims {bad} must lie in 1..{n_backbone_out}, the backbone output width")
-    repeated = sorted({dim for dim in dims if dims.count(dim) > 1})
-    if repeated:
-        raise ValidationError(f"sweep dims {repeated} are given more than once; each width is trained once")
-    widths = [replace(schedule, eigen_dim=dim) for dim in dims]
+def run_dim_sweep(models, data: RetrievalDataset, schedule: RriSchedule) -> list[tuple[int, PhaseRecord, PhaseRecord]]:
+    """Per model, in the order given: step 0, then RRI from one copy and the
+    equal-epoch ``run_baseline`` control (as many iterations as RRI ran) from
+    another.  Returns one ``(eigenlayer width, final RRI record, baseline record)`` each."""
     results = []
-    for width in widths:
-        model, _ = train_step0(initial_model(data, width), data, width)
-        _, trace = run_rri(model.copy(), data, width)
+    for model in models:
+        model, _ = train_step0(model, data, schedule)
+        _, trace = run_rri(model.copy(), data, schedule)
         with_record = trace.records[-1]
-        _, base_record = run_baseline(model.copy(), data, width, with_record.rri_index)
-        results.append((width.eigen_dim, with_record, base_record))
+        _, base_record = run_baseline(model.copy(), data, schedule, with_record.rri_index)
+        results.append((model.eigenlayer.shape[1], with_record, base_record))
     return results

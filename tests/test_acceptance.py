@@ -10,6 +10,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from svdn.trainer import (
     PHASE_DECORRELATE,
     PHASE_RELAXATION,
     RriSchedule,
+    initial_model,
     run_baseline,
     run_decorr_comparison,
     run_dim_sweep,
@@ -73,9 +75,11 @@ def rri_run(default_dataset):
 @pytest.fixture(scope="module")
 def comparison(default_dataset):
     start = time.perf_counter()
+    schedule = RriSchedule(hidden_dims=DEFAULT_HIDDEN, eigen_dim=DEFAULT_EIGEN)
     rows = run_decorr_comparison(
+        initial_model(default_dataset, schedule),
         default_dataset,
-        RriSchedule(hidden_dims=DEFAULT_HIDDEN, eigen_dim=DEFAULT_EIGEN),
+        schedule,
         methods={DecorrMethod.ORIG, DecorrMethod.US, DecorrMethod.UVT, DecorrMethod.QD},
     )
     return dict(rows), time.perf_counter() - start
@@ -85,7 +89,9 @@ def comparison(default_dataset):
 def sweep(default_dataset):
     start = time.perf_counter()
     dims = (4, 8, 16, 32, 64, 128)
-    results = run_dim_sweep(default_dataset, RriSchedule(hidden_dims=DEFAULT_HIDDEN), dims)
+    schedule = RriSchedule(hidden_dims=DEFAULT_HIDDEN)
+    models = [initial_model(default_dataset, replace(schedule, eigen_dim=dim)) for dim in dims]
+    results = run_dim_sweep(models, default_dataset, schedule)
     with_rri = np.array([final.map for _, final, _ in results])
     without_rri = np.array([control.map for _, _, control in results])
     return dims, with_rri, without_rri, time.perf_counter() - start

@@ -16,7 +16,7 @@ from svdn.cli import _build_parser, _settings, main
 from svdn.config import CONFIG_KEYS, RunConfig
 from svdn.errors import ValidationError
 from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
-from svdn.network import load_checkpoint, save_checkpoint
+from svdn.network import build_model, load_checkpoint, save_checkpoint
 from svdn.trainer import checkpoint_name
 
 CFG = """
@@ -326,6 +326,54 @@ def test_rejected_setting_exits_2_before_out_is_made(tmp_path, config_path, caps
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def rejected_inputs(tmp_path_factory):
+    """Inputs a command must reject: a 16-wide dataset, a dataset with one
+    training identity, a 16-wide checkpoint and a directory with no checkpoint."""
+    root = tmp_path_factory.mktemp("rejected")
+    assert main(["gen", "--out", str(root / "wide"), "--ids", "6", "--cameras", "2", "--samples", "2", "--dim", "16"]) == 0
+    assert main(["gen", "--out", str(root / "one"), "--ids", "2", "--cameras", "2", "--samples", "2"]) == 0
+    save_checkpoint(build_model(16, (12,), 6, 3, seed=0), root / "wide.svdn")
+    (root / "empty").mkdir()
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-dim", "--dims", "4,32", "--hidden-dims", "16,12"], "eigenlayer must be tall for decorrelation, got 12x32"),
+        (["sweep-dim", "--dims", "0"], "'eigen_dim' must be an integer >= 1, got 0"),
+        (["train", "--eigen-dim", "200"], "eigenlayer must be tall for decorrelation, got 12x200"),
+        (["train", "--hidden-dims", "", "--eigen-dim", "17", "--dataset", "{wide}"], "got 16x17"),
+        (["compare", "--eigen-dim", "200"], "eigenlayer must be tall for decorrelation, got 12x200"),
+        (["train", "--dataset", "{one}"], "need at least 2 training identities, got 1"),
+        (["compare", "--dataset", "{one}"], "need at least 2 training identities, got 1"),
+        (["sweep-dim", "--dataset", "{one}"], "need at least 2 training identities, got 1"),
+        (["eval", "--ckpt", "{missing}"], "{missing}"),
+        (["eval", "--ckpt", "{empty}"], "{empty}"),
+        (["eval", "--ckpt", "{wide_ckpt}"], "{wide_ckpt} expects 16 features but dataset"),
+        (["diagnose", "{empty}"], "no ckpt_*.svdn checkpoint in directory {empty}"),
+        (["diagnose", "{missing}"], "{missing}"),
+    ],
+    ids=[
+        "sweep_beyond_backbone", "sweep_zero_width", "train_wide", "train_wide_without_hidden", "compare_wide",
+        "train_one_identity", "compare_one_identity", "sweep_one_identity", "eval_missing_ckpt", "eval_directory_ckpt",
+        "eval_wider_ckpt", "diagnose_empty_directory", "diagnose_missing_ckpt",
+    ],
+)
+def test_rejected_input_exits_2_before_out_is_made(tmp_path, config_path, rejected_inputs, capsys, argv, message):
+    # every command makes and checks what it reads (models, checkpoints) before --out is made
+    names = dict(
+        wide=rejected_inputs / "wide" / "dataset.csv", one=rejected_inputs / "one" / "dataset.csv",
+        wide_ckpt=rejected_inputs / "wide.svdn", empty=rejected_inputs / "empty", missing=tmp_path / "missing.svdn",
+    )
+    out = tmp_path / "out"
+    assert main([*(arg.format(**names) for arg in argv), "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message.format(**names) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_non_utf8_input_file_exits_2_naming_it(tmp_path, config_path, dataset_path, trained, capsys, command):
     bad = tmp_path / f"bad_{command}.input"
@@ -549,7 +597,7 @@ class TestSweepDim:
             "sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", "64",
         ])
         assert rc == 2
-        assert "backbone" in capsys.readouterr().err
+        assert "tall for decorrelation, got 12x64" in capsys.readouterr().err
 
     def test_malformed_dims_named_as_the_flag(self, tmp_path, config_path, capsys):
         rc = main(["sweep-dim", "--config", str(config_path), "--out", str(tmp_path), "--dims", "x"])

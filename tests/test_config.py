@@ -107,6 +107,11 @@ def test_override_validates():
         override_config(cfg, batch_size=0)
 
 
+def test_override_rejects_an_unknown_key_by_name():
+    with pytest.raises(ValidationError, match="^unknown config key 'bogus'$"):
+        override_config(RunConfig(), bogus=1)
+
+
 def test_empty_hidden_dims_is_no_hidden_layer():
     assert parse_config("hidden_dims =").hidden_dims == ()
 

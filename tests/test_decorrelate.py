@@ -79,6 +79,10 @@ class TestApply:
         with pytest.raises(ValidationError):
             DecorrMethod.from_name("banana")
 
+    def test_method_name_is_not_a_method(self):
+        with pytest.raises(ValidationError, match="^unknown decorrelation method: 'US'$"):
+            apply(random_w(5, 3, seed=0), "US")
+
 
 class TestDistancePreservation:
     def test_identical_matrices_gap_zero(self):

@@ -171,7 +171,8 @@ class TestTwoArrayReference:
         pass give the bits of the two-array reference."""
         rng = np.random.default_rng(seed)
         dims = rng.integers(1, 7, size=3)
-        model = build_model(int(dims[0]), hidden, int(dims[1]), int(dims[2]) + 1, seed)
+        eigen = min(int(dims[1]), [int(dims[0]), *hidden][-1])  # the eigenlayer is tall
+        model = build_model(int(dims[0]), hidden, eigen, int(dims[2]) + 1, seed)
         batch = rng.normal(size=(m, model.input_dim))
         labels = rng.integers(0, model.num_classes, size=m)
         if zeros:  # pre-activations of exactly +-0 at the ReLU boundary
@@ -208,7 +209,7 @@ class TestBlockedFeatures:
         of the backbone walk over that block alone."""
         rng = np.random.default_rng(seed)
         dims = [int(d) for d in rng.integers(1, 9, size=depth + 2)]
-        model = build_model(dims[0], dims[1:-1], dims[-1], 3, seed)
+        model = build_model(dims[0], dims[1:-1], min(dims[-2:]), 3, seed)  # the eigenlayer is tall
         batch = rng.normal(size=(n, model.input_dim))
         walk, blocks = EigenModel._eigen_input, []
 
@@ -249,7 +250,7 @@ class TestBlockedLoss:
         taking a lone last row; up to FEATURE_BLOCK + 1 rows, on the whole batch."""
         rng = np.random.default_rng(seed)
         dims = [int(d) for d in rng.integers(1, 9, size=depth + 2)]
-        model = build_model(dims[0], dims[1:-1], dims[-1], 4, seed)
+        model = build_model(dims[0], dims[1:-1], min(dims[-2:]), 4, seed)  # the eigenlayer is tall
         batch = rng.normal(size=(n, model.input_dim))
         labels = rng.integers(0, model.num_classes, size=n)
         bounds = [*range(0, n, B), n]
@@ -542,6 +543,12 @@ class TestCheckpointLayout:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
+    def test_wide_eigenlayer_names_the_file(self, tmp_path):
+        path = tmp_path / "wide.svdn"
+        path.write_bytes(_checkpoint([BACKBONE, _layer(1, 4, 5, 0), _layer(2, 5, 3, 1)]))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: eigenlayer must be tall for decorrelation, got 4x5")):
+            load_checkpoint(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "v2.svdn"
         path.write_bytes(_checkpoint([BACKBONE, EIGEN, CLASSIFIER], version=2))
@@ -572,6 +579,11 @@ class TestBuildModel:
         label, low = {"6.7": ("eigen_dim", 1), "8.0": ("input_dim", 1), "3.0": ("num_classes", 2)}[bad]
         with pytest.raises(ValidationError, match=re.escape(f"{label} must be an integer >= {low}, got {bad}")):
             build_model(*args, seed=0)
+
+    @pytest.mark.parametrize("input_dim, hidden", [(8, (16, 4)), (4, ())])
+    def test_wide_eigenlayer_rejected_naming_its_shape(self, input_dim, hidden):
+        with pytest.raises(ValidationError, match=re.escape("eigenlayer must be tall for decorrelation, got 4x6")):
+            build_model(input_dim, hidden, 6, 3, seed=0)
 
     def test_non_integer_width_not_truncated(self):
         # the widths are checked in argument order, so the bad hidden width is named before the bad eigen_dim

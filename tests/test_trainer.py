@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -238,12 +240,10 @@ class TestRunRri:
         assert trace.records[-1].rri_index == 1
 
     def test_wide_eigenlayer_rejected(self, small_data):
+        # no entry point can be given a wide eigenlayer: the model refuses it when made
         _, _, c = training_arrays(small_data)
-        model = build_model(small_data.dim, (16, 4), 6, c, seed=0)  # 4 < 6
-        sched = small_schedule()
-        for entry in (train_step0, run_rri, lambda m, d, s: run_baseline(m, d, s, n_rri=1)):
-            with pytest.raises(ValidationError, match="tall"):
-                entry(model, small_data, sched)
+        with pytest.raises(ValidationError, match="tall for decorrelation, got 4x6"):
+            build_model(small_data.dim, (16, 4), 6, c, seed=0)
 
     def test_determinism_identical_traces_and_weights(self, small_data):
         results = []
@@ -408,7 +408,7 @@ class TestBaselineAndComparison:
     def test_comparison_one_row_per_method(self, small_data):
         sched = small_schedule(max_rri=1, hidden_dims=(16, 12), eigen_dim=6)
         methods = {DecorrMethod.US, DecorrMethod.ORIG}
-        rows = run_decorr_comparison(small_data, sched, methods=methods)
+        rows = run_decorr_comparison(initial_model(small_data, sched), small_data, sched, methods=methods)
         assert [m for m, _ in rows] == [DecorrMethod.ORIG, DecorrMethod.US]
         base, _ = train_step0(small_model(small_data, seed=sched.seed), small_data, sched)
         for m, r in rows:
@@ -438,7 +438,7 @@ class TestBaselineAndComparison:
 
     def test_comparison_rejects_empty_methods(self, small_data):
         with pytest.raises(ValidationError):
-            run_decorr_comparison(small_data, small_schedule(), methods=set())
+            run_decorr_comparison(small_model(small_data), small_data, small_schedule(), methods=set())
 
 
 class TestTraceCsv:
@@ -463,7 +463,7 @@ class TestTraceCsv:
 class TestDimSweep:
     def test_one_row_per_width_matching_separate_runs(self, small_data):
         schedule = small_schedule(max_rri=1, hidden_dims=(16, 12))
-        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (6,))
+        [(dim, final, control)] = run_dim_sweep([small_model(small_data)], small_data, schedule)
         model, _ = train_step0(small_model(small_data), small_data, schedule)
         _, trace = run_rri(model.copy(), small_data, schedule)
         _, base = run_baseline(model.copy(), small_data, schedule, trace.records[-1].rri_index)
@@ -473,22 +473,26 @@ class TestDimSweep:
 
     def test_widths_given_as_a_generator(self, small_data):
         schedule = small_schedule(max_rri=1, hidden_dims=(16, 12))
-        assert [dim for dim, _, _ in run_dim_sweep(small_data, schedule, (dim for dim in (4, 6)))] == [4, 6]
+        models = (small_model(small_data, eigen=dim) for dim in (4, 6))
+        assert [dim for dim, _, _ in run_dim_sweep(models, small_data, schedule)] == [4, 6]
 
     def test_model_without_hidden_layers(self, small_data):
         schedule = small_schedule(max_rri=1, hidden_dims=())
-        [(dim, final, control)] = run_dim_sweep(small_data, schedule, (small_data.dim,))
-        assert dim == small_data.dim
+        n = small_data.dim
+        [(dim, final, control)] = run_dim_sweep([initial_model(small_data, replace(schedule, eigen_dim=n))], small_data, schedule)
+        assert dim == n
         assert (final.phase, control.phase) == (PHASE_RELAXATION, "baseline")
-        with pytest.raises(ValidationError, match=f"1..{small_data.dim}, the backbone output width"):
-            run_dim_sweep(small_data, schedule, (small_data.dim + 1,))
+        with pytest.raises(ValidationError, match=f"tall for decorrelation, got {n}x{n + 1}"):
+            initial_model(small_data, replace(schedule, eigen_dim=n + 1))
 
     @pytest.mark.parametrize("dims", [(4, 8, 64), (4, 0)])
     def test_bad_last_width_rejected_before_any_training(self, small_data, monkeypatch, dims):
+        # the sweep's models are made, as the CLI makes them, before any is trained
         calls = []
         monkeypatch.setattr("svdn.trainer.train_step0", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValidationError, match="backbone output width"):
-            run_dim_sweep(small_data, small_schedule(hidden_dims=(16, 12)), dims)
+        schedule = small_schedule(hidden_dims=(16, 12))
+        with pytest.raises(ValidationError, match="tall for decorrelation, got 12x64|'eigen_dim' must be an integer >= 1"):
+            run_dim_sweep([initial_model(small_data, replace(schedule, eigen_dim=dim)) for dim in dims], small_data, schedule)
         assert calls == []
 
 
