@@ -36,7 +36,7 @@ from . import __version__
 from .config import CONFIG_KEYS, PARSERS, SCORE_KEYS, SWEEP_KEYS, RunConfig, load_config, override_config, parse_dims
 from .config import parsers
 from .decorrelate import DecorrMethod
-from .errors import SvdnError, ValidationError, open_artifact, write_csv
+from .errors import SvdnError, ValidationError, check_int, open_artifact, write_csv
 from .evaluation import (
     evaluate_features,
     format_report,
@@ -52,6 +52,7 @@ from .trainer import (
     CHECKPOINT_GLOB,
     FINAL_CHECKPOINT,
     PHASE_STEP0,
+    RriTrace,
     checkpoint_name,
     evaluate_model,
     initial_model,
@@ -121,13 +122,17 @@ def cmd_gen(args, out, cfg, data):
 def cmd_train(args, out, cfg, data):
     model = initial_model(data, cfg)
     yield
-    model, step0_record = train_step0(model, data, cfg, out_dir=out)
-    model, trace = run_rri(model, data, cfg, out_dir=out)
-    trace.records.insert(0, step0_record)
-    write_trace(trace, out / args.artifacts["trace"])
-    save_checkpoint(model, out / args.artifacts["final_checkpoint"])
+    written = RriTrace()
 
-    last = trace.records[-1]
+    def write(record, model):  # the run's one writer per phase: its checkpoint, then trace.csv so far
+        save_checkpoint(model, out / checkpoint_name(record.rri_index, record.phase))
+        written.records.append(record)
+        write_trace(written, out / args.artifacts["trace"])
+
+    model, _ = train_step0(model, data, cfg, on_record=write)
+    model, trace = run_rri(model, data, cfg, on_record=write)
+    save_checkpoint(model, out / args.artifacts["final_checkpoint"])
+    last = written.records[-1]
     print(f"completed {last.rri_index} iteration(s), converged={trace.converged}")
     print(f"final s_of_w={last.s_of_w:.6f} rank1={last.rank1:.4f} mAP={last.map:.4f}")
 
@@ -185,7 +190,7 @@ def _methods_flag(text: str) -> list[DecorrMethod]:
 
 
 def _dims_flag(text: str) -> tuple[int, ...]:
-    dims = parse_dims("--dims", text, "flag")
+    dims = tuple(check_int("flag '--dims' width", dim, 1) for dim in parse_dims("--dims", text, "flag"))
     if not dims:
         raise ValidationError("flag '--dims': expected at least one dimension")
     if repeated := sorted({dim for dim in dims if dims.count(dim) > 1}):

@@ -14,8 +14,9 @@ The full procedure is: an initial fine-tuning pass with everything free
 until the post-relaxation correlation score stops moving (two
 consecutive changes below ``epsilon_s``) or the iteration budget runs
 out.  Each phase is a tuple of data run by one ``train`` closure.  At
-every phase boundary one ``record`` closure logs the correlation score,
-the training loss and retrieval quality, and writes a checkpoint.
+every phase boundary one ``record`` closure logs the correlation score, the
+training loss and retrieval quality, and passes them with the model to the
+caller's ``on_record``; this module names checkpoints but writes no file.
 
 One ``RriSchedule`` holds every setting of a run: a frozen value, checked
 once, when made (``replace`` included).  Only ``initial_model`` makes a model of
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import astuple, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .decorrelate import DecorrMethod
 from .diagnostics import rri_converged, s_of_w
 from .errors import NumericError, ValidationError, check_int, check_real, write_csv
 from .evaluation import RetrievalDataset, evaluate_features, require_queries
-from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _grads_into, _split, build_model, save_checkpoint
+from .network import DEFAULT_FEATURE, FEATURE_KINDS, EigenModel, _grads_into, _split, build_model
 
 PHASE_STEP0 = "step0"
 PHASE_DECORRELATE = "decorrelate"
@@ -210,33 +210,28 @@ def _setup(model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, str
                 gbuf *= lr  # in place: no step allocates a parameter-sized temporary
                 params -= gbuf
 
-    def record(name: str, rri_index: int, out_dir=None) -> PhaseRecord:
-        """Score the model as phase ``name`` of iteration ``rri_index`` and
-        write its checkpoint into ``out_dir``, if given."""
+    def record(name: str, rri_index: int, on_record=None) -> PhaseRecord:
+        """Score the model as phase ``name`` of iteration ``rri_index``; hand ``on_record`` the record and the model."""
         rank1, mean_ap = evaluate_model(model, data, schedule.feature)
         result = PhaseRecord(rri_index, name, s_of_w(model.eigenlayer), model.loss(X, y), rank1, mean_ap)
-        if out_dir is not None:
-            save_checkpoint(model, Path(out_dir) / checkpoint_name(rri_index, name))
+        if on_record is not None:
+            on_record(result, model)
         return result
 
     return train, record
 
 
 def train_step0(
-    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, out_dir=None
+    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, on_record=None
 ) -> tuple[EigenModel, PhaseRecord]:
     """Initial fine-tuning with every parameter free."""
     train, record = _setup(model, data, schedule, 0)
     train(None, schedule.step0_epochs, schedule.lr_step0, False)
-    return model, record(PHASE_STEP0, 0, out_dir)
+    return model, record(PHASE_STEP0, 0, on_record)
 
 
 def run_rri(
-    model: EigenModel,
-    data: RetrievalDataset,
-    schedule: RriSchedule,
-    method: DecorrMethod = DecorrMethod.US,
-    out_dir=None,
+    model: EigenModel, data: RetrievalDataset, schedule: RriSchedule, method: DecorrMethod = DecorrMethod.US, on_record=None
 ) -> tuple[EigenModel, RriTrace]:
     """Restraint/relaxation iterations on a model that finished step 0.
 
@@ -250,7 +245,7 @@ def run_rri(
     for t in range(1, schedule.max_rri + 1):
         for name, *phase in _iteration_phases(schedule, method):
             train(*phase)
-            trace.records.append(record(name, t, out_dir))
+            trace.records.append(record(name, t, on_record))
         relaxed = [r.s_of_w for r in trace.records if r.phase == PHASE_RELAXATION]
         if rri_converged(relaxed, schedule.epsilon_s):
             trace.converged = True

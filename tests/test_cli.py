@@ -19,6 +19,7 @@ from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
 from svdn.network import build_model, load_checkpoint, save_checkpoint
 from svdn.trainer import checkpoint_name
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CFG = """
 dataset = {dataset}
 hidden_dims = 16,12
@@ -179,12 +180,41 @@ class TestTrain:
         argv = ["train", "--out", str(tmp_path / "run"), "--dataset", str(tmp_path / "data" / "dataset.csv")]
         proc = subprocess.run(
             [sys.executable, "-m", "svdn.cli", *argv, "--max-rri", "3", "--seed", "9", "--lr-relaxation", "1e6"],
-            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 3
         assert proc.stderr == "error: training diverged: non-finite loss at epoch 0\n"  # no numpy warnings
+
+    def test_diverged_run_leaves_a_trace_of_its_finished_phases(self, tmp_path):
+        # the run writer rewrites trace.csv at every phase boundary, so a failed run's is a byte prefix of a clean one's
+        assert main(["gen", "--out", str(tmp_path / "data")]) == 0
+        argv = ["train", "--dataset", str(tmp_path / "data" / "dataset.csv"), "--max-rri", "3", "--seed", "9"]
+        assert main([*argv, "--out", str(tmp_path / "diverged"), "--lr-relaxation", "1e6"]) == 3
+        assert main([*argv, "--out", str(tmp_path / "finite"), "--lr-relaxation", "0.0075"]) == 0
+        failed = (tmp_path / "diverged" / "trace.csv").read_bytes()
+        phases = [line.split(",")[:2] for line in failed.decode().splitlines()[1:]]
+        assert phases == [["0", "step0"], ["1", "decorrelate"], ["1", "restraint"]]  # each phase that finished
+        assert (tmp_path / "finite" / "trace.csv").read_bytes().startswith(failed)
+
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "data")]) == 0
+        argv = ["train", "--dataset", str(tmp_path / "data" / "dataset.csv"), "--max-rri", "2", "--step0-epochs", "2",
+                "--restraint-epochs", "1", "--relaxation-epochs", "1"]
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "svdn.cli", *argv, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, {path.name: path.read_bytes() for path in out.iterdir()}))
+        assert len(runs[0][1]) == 10  # manifest, trace, step 0, three phases of two iterations, final
+        assert runs[0] == runs[1]
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
         out = tmp_path / "neg"
@@ -342,7 +372,8 @@ def rejected_inputs(tmp_path_factory):
     "argv, message",
     [
         (["sweep-dim", "--dims", "4,32", "--hidden-dims", "16,12"], "eigenlayer must be tall for decorrelation, got 12x32"),
-        (["sweep-dim", "--dims", "0"], "'eigen_dim' must be an integer >= 1, got 0"),
+        (["sweep-dim", "--dims", "0"], "flag '--dims' width must be an integer >= 1, got 0"),
+        (["sweep-dim", "--dims", "4,-2"], "flag '--dims' width must be an integer >= 1, got -2"),
         (["train", "--eigen-dim", "200"], "eigenlayer must be tall for decorrelation, got 12x200"),
         (["train", "--hidden-dims", "", "--eigen-dim", "17", "--dataset", "{wide}"], "got 16x17"),
         (["compare", "--eigen-dim", "200"], "eigenlayer must be tall for decorrelation, got 12x200"),
@@ -356,9 +387,9 @@ def rejected_inputs(tmp_path_factory):
         (["diagnose", "{missing}"], "{missing}"),
     ],
     ids=[
-        "sweep_beyond_backbone", "sweep_zero_width", "train_wide", "train_wide_without_hidden", "compare_wide",
-        "train_one_identity", "compare_one_identity", "sweep_one_identity", "eval_missing_ckpt", "eval_directory_ckpt",
-        "eval_wider_ckpt", "diagnose_empty_directory", "diagnose_missing_ckpt",
+        "sweep_beyond_backbone", "sweep_zero_width", "sweep_negative_width", "train_wide", "train_wide_without_hidden",
+        "compare_wide", "train_one_identity", "compare_one_identity", "sweep_one_identity", "eval_missing_ckpt",
+        "eval_directory_ckpt", "eval_wider_ckpt", "diagnose_empty_directory", "diagnose_missing_ckpt",
     ],
 )
 def test_rejected_input_exits_2_before_out_is_made(tmp_path, config_path, rejected_inputs, capsys, argv, message):

@@ -10,7 +10,7 @@ from svdn.decorrelate import DecorrMethod
 from svdn.diagnostics import s_of_w
 from svdn.errors import NumericError, ValidationError
 from svdn.evaluation import RetrievalDataset, generate_synthetic
-from svdn.network import _grads_into, build_model, load_checkpoint
+from svdn.network import _grads_into, build_model, load_checkpoint, save_checkpoint
 
 from oracles import assert_one_parameter_vector, reference_checkpoint_order
 from svdn.trainer import (
@@ -59,6 +59,11 @@ def small_schedule(**kw):
 def small_model(data, seed=3, eigen=6):
     _, _, c = training_arrays(data)
     return build_model(data.dim, (16, 12), eigen, c, seed)
+
+
+def saver(out_dir):
+    """An ``on_record`` that saves each phase's model under its ``checkpoint_name``, as ``svdn train``'s writer does."""
+    return lambda record, model: save_checkpoint(model, out_dir / checkpoint_name(record.rri_index, record.phase))
 
 
 @pytest.mark.parametrize(
@@ -200,7 +205,7 @@ class TestRunRri:
         model = small_model(small_data)
         sched = small_schedule(max_rri=2)
         model, _ = train_step0(model, small_data, sched)
-        model, _ = run_rri(model, small_data, sched, out_dir=tmp_path)
+        model, _ = run_rri(model, small_data, sched, on_record=saver(tmp_path))
         for t in (1, 2):
             before = load_checkpoint(tmp_path / f"ckpt_rri{t}_decorrelate.svdn")
             after = load_checkpoint(tmp_path / f"ckpt_rri{t}_restraint.svdn")
@@ -214,13 +219,26 @@ class TestRunRri:
     def test_checkpoint_files_per_phase(self, small_data, tmp_path):
         model = small_model(small_data)
         sched = small_schedule(max_rri=2)
-        model, _ = train_step0(model, small_data, sched, out_dir=tmp_path)
-        model, trace = run_rri(model, small_data, sched, out_dir=tmp_path)
+        model, _ = train_step0(model, small_data, sched, on_record=saver(tmp_path))
+        model, trace = run_rri(model, small_data, sched, on_record=saver(tmp_path))
         names = sorted(p.name for p in tmp_path.glob("ckpt_*.svdn"))
         expected = ["ckpt_rri0_step0.svdn"]
         for t in range(1, trace.records[-1].rri_index + 1):
             expected += [f"ckpt_rri{t}_decorrelate.svdn", f"ckpt_rri{t}_restraint.svdn", f"ckpt_rri{t}_relaxation.svdn"]
         assert names == sorted(expected)
+
+    def test_on_record_sees_each_record_once_in_trace_order(self, small_data, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        model = small_model(small_data)
+        sched = small_schedule(max_rri=2)
+        seen = []
+        model, rec0 = train_step0(model, small_data, sched, on_record=lambda *call: seen.append(call))
+        model, trace = run_rri(model, small_data, sched, on_record=lambda *call: seen.append(call))
+        assert [id(r) for r, _ in seen] == [id(r) for r in [rec0, *trace.records]]  # the records themselves, once each
+        assert all(m is model for _, m in seen)
+        train_step0(small_model(small_data), small_data, sched)
+        run_rri(model, small_data, sched)  # a run given no writer
+        assert list(tmp_path.iterdir()) == []
 
     def test_orig_method_skips_replacement(self, small_data):
         model = small_model(small_data)
