@@ -186,7 +186,10 @@ def cmd_diagnose(args, out, cfg, data):
 
 
 def _methods_flag(text: str) -> list[DecorrMethod]:
-    return [DecorrMethod.from_name(name.strip()) for name in text.split(",")]
+    methods = [DecorrMethod.from_name(name.strip()) for name in text.split(",")]
+    if repeated := [m.value for m in DecorrMethod if methods.count(m) > 1]:
+        raise ValidationError(f"flag '--methods': methods {repeated} are given more than once; each is compared once")
+    return methods
 
 
 def _dims_flag(text: str) -> tuple[int, ...]:

@@ -250,10 +250,11 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     same buffer.
     A positive's 0-based rank in its query's junk-filtered list is then
     the number of rows before it, where rows are ordered by key and equal
-    keys by gallery index.  Each row sorts only the keys at or below its
-    worst positive's key; ``searchsorted`` then gives the rows strictly
-    before every positive and flags exact ties, the only case that needs
-    an explicit count of lower-index equal rows."""
+    keys by gallery index.  Each row keeps, with ``compress``, only the
+    keys at or below its worst positive's key and sorts those;
+    ``searchsorted`` then gives the rows strictly before every positive
+    and flags exact ties, the only case that needs an explicit count of
+    lower-index equal rows."""
     n_query, n_gallery = dataset.query_ids.shape[0], dataset.gallery_ids.shape[0]
     pair_q, pair_g, is_junk = dataset._pairs
     pos_q, pos_g = pair_q[~is_junk], pair_g[~is_junk]
@@ -279,7 +280,7 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
         for r, w in zip(with_pos.tolist(), worst):
             a, b = bounds[r], bounds[r + 1]
             row, vr = keys[r], v[a:b]
-            kept = row[row <= w]
+            kept = row.compress(row <= w)
             kept.sort()
             below[a:b] = kept.searchsorted(vr, side="left")
             upto[a:b] = kept.searchsorted(vr, side="right")

@@ -136,10 +136,14 @@ def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, rows: int):
     The expansion and recompute then run over sub-chunks of about
     ``_EPILOGUE_ENTRIES`` entries (at least one row) through one norms
     and one mask scratch of that size; each entry goes through the same
-    operations as in a one-pass epilogue, so it keeps its bits.  The
-    one-block case (``rows >= len(a)``) with ``a is b`` hands BLAS the
-    product of a matrix with its own transpose, which it computes
-    exactly symmetric.
+    operations as in a one-pass epilogue, so it keeps its bits.  A
+    sub-chunk builds the cancellation mask only when its smallest entry
+    is not above ``_CANCELLATION * (max |x|^2 + max |y|^2)`` over its own
+    rows and all of ``b``: rounding is monotone, so that is at least every
+    entry's own bound, and a sub-chunk whose minimum is above it would
+    get an empty mask.  The one-block case (``rows >= len(a)``) with
+    ``a is b`` hands BLAS the product of a matrix with its own
+    transpose, which it computes exactly symmetric.
 
     Raises NumericError when ``2 * (max |x|^2 + max |y|^2)``, which
     bounds every product, norm sum and distance, is not finite."""
@@ -162,9 +166,12 @@ def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, rows: int):
         for s in range(0, block.shape[0], sub):
             ds = d[s : s + sub]
             norms, mask = norms_buf[: ds.shape[0]], mask_buf[: ds.shape[0]]
+            a2s = a2[start + s : start + s + ds.shape[0]]
             ds *= -2.0
-            np.add.outer(a2[start + s : start + s + ds.shape[0]], b2, out=norms)
+            np.add.outer(a2s, b2, out=norms)
             ds += norms
+            if ds.min() > _CANCELLATION * (float(a2s.max()) + b2_max):
+                continue  # every entry's own bound is at most this one: no mask would be set
             norms *= _CANCELLATION
             close = np.flatnonzero(np.less_equal(ds, norms, out=mask))
             for lo in range(0, close.size, _RECOMPUTE_CHUNK):

@@ -385,11 +385,13 @@ def rejected_inputs(tmp_path_factory):
         (["eval", "--ckpt", "{wide_ckpt}"], "{wide_ckpt} expects 16 features but dataset"),
         (["diagnose", "{empty}"], "no ckpt_*.svdn checkpoint in directory {empty}"),
         (["diagnose", "{missing}"], "{missing}"),
+        (["compare", "--methods", "US,QD, us"], "flag '--methods': methods ['US'] are given more than once"),
     ],
     ids=[
         "sweep_beyond_backbone", "sweep_zero_width", "sweep_negative_width", "train_wide", "train_wide_without_hidden",
         "compare_wide", "train_one_identity", "compare_one_identity", "sweep_one_identity", "eval_missing_ckpt",
         "eval_directory_ckpt", "eval_wider_ckpt", "diagnose_empty_directory", "diagnose_missing_ckpt",
+        "compare_repeated_method",
     ],
 )
 def test_rejected_input_exits_2_before_out_is_made(tmp_path, config_path, rejected_inputs, capsys, argv, message):
@@ -466,6 +468,23 @@ class TestEval:
         assert err.startswith("error:") and "overflow" in err and "squared row norms inf and inf" in err
         assert "Traceback" not in err
         assert not (out / "report.csv").exists()
+
+    def test_blas_thread_count_changes_no_byte(self, tmp_path, trained):
+        # 600 queries against a 3000-row gallery: ten query blocks, each epilogue in seven sub-chunks
+        assert main(["gen", "--out", str(tmp_path / "data"), "--ids", "300", "--dim", "8"]) == 0
+        argv = ["eval", "--dataset", str(tmp_path / "data" / "dataset.csv"), "--ckpt", str(trained / "ckpt_final.svdn")]
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "svdn.cli", *argv, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, (out / "report.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("layer", ["eigenlayer", "backbone0.weight", "classifier.bias"])

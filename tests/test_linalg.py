@@ -258,6 +258,31 @@ class TestPairwiseSqDist:
             for got, want in zip(_sq_dist_blocks(a, b, rows), reference_sq_dist_blocks(a, b, rows), strict=True):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("near", [False, True])
+    def test_cancellation_mask_only_where_an_entry_may_be_close(self, near):
+        """One-row sub-chunks in blocks of 4 rows.  On well-separated rows no
+        sub-chunk's minimum reaches its bound, so none builds the mask; a
+        near-copy of ``a[3]`` in ``b`` makes only row 3's sub-chunk build
+        it.  Every block equals the one-pass epilogue's either way."""
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(10, 8)), rng.normal(size=(12, 8))
+        if near:
+            b[5] = a[3] + 1e-7 * rng.normal(size=8)
+        real_less_equal, blocks, built = np.less_equal, [], []
+
+        def less_equal(x, y, out):  # notes the block and the row of the sub-chunk that builds the mask
+            built.append((len(blocks), x.__array_interface__["data"][0]))
+            return real_less_equal(x, y, out=out)
+
+        with mock.patch.object(linalg, "_EPILOGUE_ENTRIES", b.shape[0]), mock.patch.object(np, "less_equal", less_equal):
+            for d in _sq_dist_blocks(a, b, 4):
+                blocks.append(d.copy())
+                base, stride = d.__array_interface__["data"][0], d.strides[0]
+        assert [(block, (ptr - base) // stride) for block, ptr in built] == ([(0, 3)] if near else [])
+        want = list(reference_sq_dist_blocks(a, b, 4))
+        assert len(blocks) == len(want) == 3
+        assert all(np.array_equal(got, ref) for got, ref in zip(blocks, want))
+
     @pytest.mark.parametrize(
         "a, b, largest",
         [
