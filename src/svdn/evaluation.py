@@ -60,7 +60,7 @@ class RetrievalDataset:
     cameras: np.ndarray   # (n,) int64 camera labels
     split: np.ndarray     # (n,) unicode, each one of SPLITS
     _rows: dict[str, np.ndarray] = field(init=False, repr=False)
-    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", as_matrix(self.features, "features"))
@@ -123,10 +123,11 @@ def require_queries(dataset: RetrievalDataset, source: str = "dataset") -> None:
         raise ValidationError(f"{source} has an empty query split; retrieval scoring needs query rows")
 
 
-def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every (query, gallery row) pair sharing an identity, query-major
-    with ascending gallery index within a query, and whether each pair is
-    junk: the gallery row also has the query's camera."""
+    with ascending gallery index within a query, as the query and gallery
+    indices of the positive pairs, then of the junk ones: pairs whose
+    gallery row also has the query's camera."""
     q_ids, g_ids = dataset.query_ids, dataset.gallery_ids
     by_id = np.argsort(g_ids, kind="stable")
     lo = np.searchsorted(g_ids[by_id], q_ids, side="left")
@@ -134,14 +135,14 @@ def _id_pairs(dataset: RetrievalDataset) -> tuple[np.ndarray, np.ndarray, np.nda
     pair_q = np.repeat(np.arange(q_ids.shape[0]), sizes)
     first_pair = np.cumsum(sizes) - sizes
     pair_g = by_id[np.repeat(lo - first_pair, sizes) + np.arange(pair_q.size)]
-    return pair_q, pair_g, dataset.gallery_cameras[pair_g] == dataset.query_cameras[pair_q]
+    is_junk = dataset.gallery_cameras[pair_g] == dataset.query_cameras[pair_q]
+    return pair_q[~is_junk], pair_g[~is_junk], pair_q[is_junk], pair_g[is_junk]
 
 
 def _validate_cross_camera(dataset: RetrievalDataset) -> None:
     """Raise ValidationError naming the first query whose identity has no
     gallery row under another camera: junk filtering leaves it no match."""
-    pair_q, _, is_junk = dataset._pairs
-    unmatched = np.bincount(pair_q[~is_junk], minlength=dataset.query_ids.shape[0]) == 0
+    unmatched = np.bincount(dataset._pairs[0], minlength=dataset.query_ids.shape[0]) == 0
     if unmatched.any():
         qi = int(np.argmax(unmatched))
         q_id, q_cam = dataset.query_ids[qi], dataset.query_cameras[qi]
@@ -256,9 +257,7 @@ def _score(dataset: RetrievalDataset, key_blocks) -> RankingReport:
     and flags exact ties, the only case that needs an explicit count of
     lower-index equal rows."""
     n_query, n_gallery = dataset.query_ids.shape[0], dataset.gallery_ids.shape[0]
-    pair_q, pair_g, is_junk = dataset._pairs
-    pos_q, pos_g = pair_q[~is_junk], pair_g[~is_junk]
-    junk_q, junk_g = pair_q[is_junk], pair_g[is_junk]
+    pos_q, pos_g, junk_q, junk_g = dataset._pairs
     n_pos = np.bincount(pos_q, minlength=n_query)
     pos_start = np.concatenate(([0], np.cumsum(n_pos)))
 

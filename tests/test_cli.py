@@ -16,7 +16,7 @@ from svdn.cli import _build_parser, _settings, main
 from svdn.config import CONFIG_KEYS, RunConfig
 from svdn.errors import ValidationError
 from svdn.evaluation import generate_synthetic, load_dataset, save_dataset
-from svdn.network import build_model, load_checkpoint, save_checkpoint
+from svdn.network import FEATURE_BLOCK, build_model, load_checkpoint, save_checkpoint
 from svdn.trainer import checkpoint_name
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,24 +197,6 @@ class TestTrain:
         phases = [line.split(",")[:2] for line in failed.decode().splitlines()[1:]]
         assert phases == [["0", "step0"], ["1", "decorrelate"], ["1", "restraint"]]  # each phase that finished
         assert (tmp_path / "finite" / "trace.csv").read_bytes().startswith(failed)
-
-    def test_blas_thread_count_changes_no_byte(self, tmp_path):
-        assert main(["gen", "--out", str(tmp_path / "data")]) == 0
-        argv = ["train", "--dataset", str(tmp_path / "data" / "dataset.csv"), "--max-rri", "2", "--step0-epochs", "2",
-                "--restraint-epochs", "1", "--relaxation-epochs", "1"]
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "svdn.cli", *argv, "--out", str(out)],
-                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs.append((proc.stdout, {path.name: path.read_bytes() for path in out.iterdir()}))
-        assert len(runs[0][1]) == 10  # manifest, trace, step 0, three phases of two iterations, final
-        assert runs[0] == runs[1]
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
         out = tmp_path / "neg"
@@ -469,22 +451,31 @@ class TestEval:
         assert "Traceback" not in err
         assert not (out / "report.csv").exists()
 
-    def test_blas_thread_count_changes_no_byte(self, tmp_path, trained):
-        # 600 queries against a 3000-row gallery: ten query blocks, each epilogue in seven sub-chunks
-        assert main(["gen", "--out", str(tmp_path / "data"), "--ids", "300", "--dim", "8"]) == 0
-        argv = ["eval", "--dataset", str(tmp_path / "data" / "dataset.csv"), "--ckpt", str(trained / "ckpt_final.svdn")]
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "svdn.cli", *argv, "--out", str(out)],
-                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
-                capture_output=True,
-                text=True,
-            )
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    # 3600 training rows: four loss blocks; 600 queries against 3000 gallery rows: ten query blocks,
+    # each epilogue in seven sub-chunks, and three feature blocks
+    data = tmp_path / "data" / "dataset.csv"
+    assert main(["gen", "--out", str(data.parent), "--ids", "300", "--dim", "8"]) == 0
+    dataset = load_dataset(data)
+    assert dataset.train_ids.size > FEATURE_BLOCK + 1 and dataset.gallery_ids.size > FEATURE_BLOCK + 1  # 2+ blocks each
+    train = ["train", "--dataset", str(data), "--max-rri", "2", "--step0-epochs", "2", "--restraint-epochs", "1",
+             "--relaxation-epochs", "1"]
+    runs = []
+    for threads in ("1", None):  # None: the variable unset, so OpenBLAS takes the machine's default count
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | {"PYTHONPATH": str(SRC)}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run, report = tmp_path / f"threads{threads}" / "run", tmp_path / f"threads{threads}" / "eval"
+        stdouts = []
+        for argv in ([*train, "--out", str(run)],
+                     ["eval", "--dataset", str(data), "--ckpt", str(run / "ckpt_final.svdn"), "--out", str(report)]):
+            proc = subprocess.run([sys.executable, "-m", "svdn.cli", *argv], env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            runs.append((proc.stdout, (out / "report.csv").read_bytes()))
-        assert runs[0] == runs[1]
+            stdouts.append(proc.stdout)
+        files = {path.name: path.read_bytes() for path in run.iterdir()}
+        runs.append((stdouts, files, (report / "report.csv").read_bytes()))
+    assert len(runs[0][1]) == 10  # manifest, trace, step 0, three phases of two iterations, final
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("layer", ["eigenlayer", "backbone0.weight", "classifier.bias"])

@@ -1,8 +1,13 @@
-"""The test configuration itself: a failing test is reported, not fatal."""
+"""The test configuration and packaging: a failing test is reported, not
+fatal, and the installed command runs the CLI."""
 
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import svdn.cli
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -36,3 +41,12 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     assert "FAILED test_probe.py::test_fails" in proc.stdout
     assert "PASSED test_probe.py::test_passes" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_console_script_runs_the_cli_main():
+    # the `svdn` command that pip installs; Python 3.10 has no tomllib, so the table is read as text
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", PYPROJECT.read_text(), re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^(\S+) = "(.+)"$', table, re.M))
+    assert list(scripts) == ["svdn"]
+    module, name = scripts["svdn"].split(":")
+    assert getattr(importlib.import_module(module), name) is svdn.cli.main
