@@ -100,6 +100,35 @@ class TestGen:
         assert not (tmp_path / "dataset.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def blas_thread_runs(tmp_path_factory):
+    """Train over four loss blocks, then eval its final checkpoint, at one BLAS thread and the default count."""
+    # 3600 training rows: four loss blocks; 600 queries against 3000 gallery rows: ten query blocks,
+    # each epilogue in seven sub-chunks, and three feature blocks
+    root = tmp_path_factory.mktemp("blas")
+    data = root / "data" / "dataset.csv"
+    assert main(["gen", "--out", str(data.parent), "--ids", "300", "--dim", "8"]) == 0
+    dataset = load_dataset(data)
+    assert dataset.train_ids.size > FEATURE_BLOCK + 1 and dataset.gallery_ids.size > FEATURE_BLOCK + 1  # 2+ blocks each
+    train = ["train", "--dataset", str(data), "--max-rri", "2", "--step0-epochs", "2", "--restraint-epochs", "1",
+             "--relaxation-epochs", "1"]
+    runs = []
+    for threads in ("1", None):  # None: the variable unset, so OpenBLAS takes the machine's default count
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | {"PYTHONPATH": str(SRC)}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run, report = root / f"threads{threads}" / "run", root / f"threads{threads}" / "eval"
+        stdouts = []
+        for argv in ([*train, "--out", str(run)],
+                     ["eval", "--dataset", str(data), "--ckpt", str(run / "ckpt_final.svdn"), "--out", str(report)]):
+            proc = subprocess.run([sys.executable, "-m", "svdn.cli", *argv], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        runs.append({"train": (stdouts[0], {path.name: path.read_bytes() for path in run.iterdir()}),
+                     "eval": (stdouts[1], (report / "report.csv").read_bytes())})
+    return runs
+
+
 class TestTrain:
     def test_artifacts_written(self, trained):
         assert (trained / "trace.csv").exists()
@@ -197,6 +226,11 @@ class TestTrain:
         phases = [line.split(",")[:2] for line in failed.decode().splitlines()[1:]]
         assert phases == [["0", "step0"], ["1", "decorrelate"], ["1", "restraint"]]  # each phase that finished
         assert (tmp_path / "finite" / "trace.csv").read_bytes().startswith(failed)
+
+    def test_blas_thread_count_changes_no_byte(self, blas_thread_runs):
+        one, default = blas_thread_runs
+        assert len(one["train"][1]) == 10  # manifest, trace, step 0, three phases of two iterations, final
+        assert one["train"] == default["train"]
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, config_path, capsys):
         out = tmp_path / "neg"
@@ -451,31 +485,9 @@ class TestEval:
         assert "Traceback" not in err
         assert not (out / "report.csv").exists()
 
-def test_blas_thread_count_changes_no_byte(tmp_path):
-    # 3600 training rows: four loss blocks; 600 queries against 3000 gallery rows: ten query blocks,
-    # each epilogue in seven sub-chunks, and three feature blocks
-    data = tmp_path / "data" / "dataset.csv"
-    assert main(["gen", "--out", str(data.parent), "--ids", "300", "--dim", "8"]) == 0
-    dataset = load_dataset(data)
-    assert dataset.train_ids.size > FEATURE_BLOCK + 1 and dataset.gallery_ids.size > FEATURE_BLOCK + 1  # 2+ blocks each
-    train = ["train", "--dataset", str(data), "--max-rri", "2", "--step0-epochs", "2", "--restraint-epochs", "1",
-             "--relaxation-epochs", "1"]
-    runs = []
-    for threads in ("1", None):  # None: the variable unset, so OpenBLAS takes the machine's default count
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | {"PYTHONPATH": str(SRC)}
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        run, report = tmp_path / f"threads{threads}" / "run", tmp_path / f"threads{threads}" / "eval"
-        stdouts = []
-        for argv in ([*train, "--out", str(run)],
-                     ["eval", "--dataset", str(data), "--ckpt", str(run / "ckpt_final.svdn"), "--out", str(report)]):
-            proc = subprocess.run([sys.executable, "-m", "svdn.cli", *argv], env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            stdouts.append(proc.stdout)
-        files = {path.name: path.read_bytes() for path in run.iterdir()}
-        runs.append((stdouts, files, (report / "report.csv").read_bytes()))
-    assert len(runs[0][1]) == 10  # manifest, trace, step 0, three phases of two iterations, final
-    assert runs[0] == runs[1]
+    def test_blas_thread_count_changes_no_byte(self, blas_thread_runs):
+        one, default = blas_thread_runs
+        assert one["eval"] == default["eval"]
 
 
 @pytest.mark.parametrize("layer", ["eigenlayer", "backbone0.weight", "classifier.bias"])
