@@ -161,15 +161,19 @@ def cmd_eval(args, out, cfg, data):
 
 def _collect_checkpoints(paths: list[str]) -> list[Path]:
     """The checkpoint files in training order (``parse_checkpoint_name``).
-    A directory contributes its ``CHECKPOINT_GLOB`` files and must hold one."""
-    found: list[Path] = []
+    A directory contributes its ``CHECKPOINT_GLOB`` files and must hold one;
+    a file reached twice (by ``Path.resolve``) is rejected."""
+    found: dict[Path, Path] = {}
     for p in paths:
         path = Path(p)
         files = list(path.glob(CHECKPOINT_GLOB)) if path.is_dir() else [path]
         if not files:
             raise ValidationError(f"no {CHECKPOINT_GLOB} checkpoint in directory {p}")
-        found.extend(files)
-    return sorted(found, key=lambda path: parse_checkpoint_name(path.name)[2])
+        for file in files:
+            if file.resolve() in found:
+                raise ValidationError(f"checkpoint {file} is given more than once; each is scored once")
+            found[file.resolve()] = file
+    return sorted(found.values(), key=lambda path: parse_checkpoint_name(path.name)[2])
 
 
 def cmd_diagnose(args, out, cfg, data):

@@ -125,21 +125,25 @@ class EigenModel:
             )
         return batch
 
-    def _activations(self, batch: np.ndarray):
+    def _activations(self, batch: np.ndarray, out: np.ndarray | None = None):
         """Yield each backbone layer's activation.  Each layer's bias add
         and ReLU run in place on its product, so a caller that keeps only
-        the latest activation holds at most two activation-sized arrays."""
-        h = batch
-        for layer in self.backbone:
-            z = h @ layer.weight
+        the latest activation holds at most two activation-sized arrays.
+        Given ``out``, the last layer's product, bias add and ReLU run in
+        ``out``, so the caller's array holds the last activation and the
+        walk itself holds at most one."""
+        h, last = batch, len(self.backbone) - 1
+        for i, layer in enumerate(self.backbone):
+            z = np.matmul(h, layer.weight, out=out if i == last else None)
             z += layer.bias
             h = np.maximum(z, 0.0, out=z)
             yield h
 
-    def _eigen_input(self, batch: np.ndarray) -> np.ndarray:
-        """The eigenlayer input ``h``: the last backbone activation."""
+    def _eigen_input(self, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The eigenlayer input ``h``: the last backbone activation, in ``out``
+        when given and there is a backbone (else ``batch`` itself)."""
         h = batch
-        for h in self._activations(batch):
+        for h in self._activations(batch, out):
             pass
         return h
 
@@ -159,15 +163,16 @@ class EigenModel:
 
         The backbone walks the input's ``_row_blocks`` into one
         preallocated output, a new array on every call, so memory grows
-        with the output plus one block's activations.  Each block's rows
+        with the output plus one block's two activations; for ``input`` the
+        last layer writes into the output, so plus one.  Each block's rows
         carry the bits of :meth:`forward` on that block alone."""
         if which not in FEATURE_KINDS:
             raise ValidationError(f"which must be one of {FEATURE_KINDS}, got {which!r}")
         batch = self._check_batch(batch)
         out = np.empty((batch.shape[0], self.eigenlayer.shape[1 if which == "output" else 0]))
         for s, e in _row_blocks(batch.shape[0]):  # no name keeps a block's activation alive into the next walk
-            if which == "input":
-                out[s:e] = self._eigen_input(batch[s:e])
+            if which == "input":  # the walk writes into out[s:e]; with no backbone this copies the batch
+                out[s:e] = self._eigen_input(batch[s:e], out[s:e])
             else:
                 np.matmul(self._eigen_input(batch[s:e]), self.eigenlayer, out=out[s:e])
         return out

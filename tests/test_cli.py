@@ -375,12 +375,15 @@ def test_rejected_setting_exits_2_before_out_is_made(tmp_path, config_path, caps
 @pytest.fixture(scope="module")
 def rejected_inputs(tmp_path_factory):
     """Inputs a command must reject: a 16-wide dataset, a dataset with one
-    training identity, a 16-wide checkpoint and a directory with no checkpoint."""
+    training identity, a 16-wide checkpoint, a directory with no checkpoint
+    and a directory with one."""
     root = tmp_path_factory.mktemp("rejected")
     assert main(["gen", "--out", str(root / "wide"), "--ids", "6", "--cameras", "2", "--samples", "2", "--dim", "16"]) == 0
     assert main(["gen", "--out", str(root / "one"), "--ids", "2", "--cameras", "2", "--samples", "2"]) == 0
     save_checkpoint(build_model(16, (12,), 6, 3, seed=0), root / "wide.svdn")
     (root / "empty").mkdir()
+    (root / "run").mkdir()
+    save_checkpoint(build_model(16, (12,), 6, 3, seed=0), root / "run" / "ckpt_final.svdn")
     return root
 
 
@@ -401,13 +404,16 @@ def rejected_inputs(tmp_path_factory):
         (["eval", "--ckpt", "{wide_ckpt}"], "{wide_ckpt} expects 16 features but dataset"),
         (["diagnose", "{empty}"], "no ckpt_*.svdn checkpoint in directory {empty}"),
         (["diagnose", "{missing}"], "{missing}"),
+        (["diagnose", "{run}", "{run}/ckpt_final.svdn"], "checkpoint {run}/ckpt_final.svdn is given more than once"),
+        (["diagnose", "{run}/ckpt_final.svdn", "{run}/../run/ckpt_final.svdn"],
+         "checkpoint {run}/../run/ckpt_final.svdn is given more than once"),
         (["compare", "--methods", "US,QD, us"], "flag '--methods': methods ['US'] are given more than once"),
     ],
     ids=[
         "sweep_beyond_backbone", "sweep_zero_width", "sweep_negative_width", "train_wide", "train_wide_without_hidden",
         "compare_wide", "train_one_identity", "compare_one_identity", "sweep_one_identity", "eval_missing_ckpt",
         "eval_directory_ckpt", "eval_wider_ckpt", "diagnose_empty_directory", "diagnose_missing_ckpt",
-        "compare_repeated_method",
+        "diagnose_directory_and_its_ckpt", "diagnose_ckpt_by_two_paths", "compare_repeated_method",
     ],
 )
 def test_rejected_input_exits_2_before_out_is_made(tmp_path, config_path, rejected_inputs, capsys, argv, message):
@@ -415,6 +421,7 @@ def test_rejected_input_exits_2_before_out_is_made(tmp_path, config_path, reject
     names = dict(
         wide=rejected_inputs / "wide" / "dataset.csv", one=rejected_inputs / "one" / "dataset.csv",
         wide_ckpt=rejected_inputs / "wide.svdn", empty=rejected_inputs / "empty", missing=tmp_path / "missing.svdn",
+        run=rejected_inputs / "run",
     )
     out = tmp_path / "out"
     assert main([*(arg.format(**names) for arg in argv), "--config", str(config_path), "--out", str(out)]) == 2
